@@ -2,8 +2,8 @@
 
 One process per command; every command writes its data artifacts plus a
 manifest JSON (input hashes, parameters, versions, wall time) into the
-output directory. Data outputs are byte-deterministic for a fixed seed;
-the manifest timestamp is the only non-reproducible field.
+output directory. Data outputs are byte-deterministic for fixed arguments;
+the manifest timestamp and wall time are the only non-reproducible fields.
 
 Exit codes: 0 success, 1 verdict failure (e.g. --expect mismatch), 2 errors.
 """
@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--cost")
     p.add_argument("--symmetrize", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_seidl_plan)
 
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--members", required=True, help="comma-separated indices of the team")
     p.add_argument("--points", help="comma-separated sorted positions (default: equispaced)")
     p.add_argument("--cost", help="cost spec JSON (default: inverse-chord ring cost)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_swap_demo)
 
@@ -236,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mmot_solve)
 
@@ -246,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--m", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_kantorovich)
 
@@ -257,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="comma-separated kinetic weights")
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--radius", type=float, default=np.pi / 4)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_semiclassical)
 

@@ -33,8 +33,6 @@ class Tolerances:
 
     # kantorovich
     ctransform_guard: int = 1_000_000   # grid**(n-1) cap for one transform
-    margin_guard: int = 10_000_000      # grid**n cap for exhaustive margin
-    margin_samples: int = 1_000_000     # Monte-Carlo fallback sample count
 
     # semiclassical
     mollifier_table: int = 2048

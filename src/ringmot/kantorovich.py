@@ -70,11 +70,39 @@ def normalized(v: Potential, rho: GridDensity, transport_value: float, n: int) -
     return Potential(v.grid, v.values - shift, "normalized")
 
 
-def _bounded_pair_matrix(v: Potential, w: CostModel) -> np.ndarray:
-    pair = np.asarray(w.pair_matrix(v.grid), dtype=float)
-    if not np.all(np.isfinite(pair)):
+def _doubled_pair_matrix(v: Potential, w: CostModel, n: int) -> np.ndarray:
+    """2 w on the grid, after the grid^(n-1) guard (checked before any work)."""
+    if n < 2:
+        raise DomainError("need n >= 2 marginals")
+    if v.size ** (n - 1) > TOL.ctransform_guard:
+        raise SizeGuardError(
+            f"grid^(n-1) = {v.size}^{n - 1} = {v.size ** (n - 1)} exceeds the "
+            f"c-transform guard {TOL.ctransform_guard}"
+        )
+    return 2.0 * np.asarray(w.pair_matrix(v.grid), dtype=float)
+
+
+def _bounded_pair_matrix(v: Potential, w: CostModel, n: int) -> np.ndarray:
+    pair2 = _doubled_pair_matrix(v, w, n)
+    if not np.all(np.isfinite(pair2)):
         raise DomainError("cost is unbounded on the grid; truncate first")
-    return pair
+    return pair2
+
+
+def _min_plus(pair2: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+    """min over y_1..y_k of sum_j pair2[x, y_j] + sum_{j<l} pair2[y_j, y_l] - sum_j u[y_j].
+
+    Returned for every grid x. Fixing y_1 = y leaves the same problem in k-1
+    points anchored at y with u - pair2[x], so the cost is grid^(k+1) with one
+    grid x grid temporary live per level. +inf cells of an unbounded cost
+    only produce +inf sums or -inf shifted potentials, never inf - inf.
+    """
+    if k == 1:
+        return (pair2 - u[None, :]).min(axis=1)
+    out = np.empty(u.size)
+    for x in range(u.size):
+        out[x] = np.min(pair2[x] - u + _min_plus(pair2, u - pair2[x], k - 1))
+    return out
 
 
 def c_transform(v: Potential, w: CostModel, n: int) -> Potential:
@@ -84,19 +112,7 @@ def c_transform(v: Potential, w: CostModel, n: int) -> Potential:
     the transform of a bounded function is continuous with the modulus of
     c_n in its first argument.
     """
-    if n not in (2, 3):
-        raise DomainError("c-transform implemented for n in {2, 3}")
-    if v.size ** (n - 1) > TOL.ctransform_guard:
-        raise SizeGuardError("grid^(n-1) exceeds the c-transform guard")
-    pair = _bounded_pair_matrix(v, w)
-    u = v.values
-    if n == 2:
-        return Potential(v.grid, (2.0 * pair - u[None, :]).min(axis=1))
-    out = np.empty(v.size)
-    inner = 2.0 * pair - u[:, None] - u[None, :]
-    for i in range(v.size):
-        out[i] = np.min(2.0 * pair[i][:, None] + 2.0 * pair[i][None, :] + inner)
-    return Potential(v.grid, out)
+    return Potential(v.grid, _min_plus(_bounded_pair_matrix(v, w, n), v.values, n - 1))
 
 
 @dataclass(frozen=True)
@@ -123,70 +139,35 @@ def averaged_iteration(
     below its transform anywhere beyond tol, one extra half-step
     v <- min(v, v_c) restores c_n - (+)v >= -tol exactly.
     """
-    v = v0
+    pair2 = _bounded_pair_matrix(v0, w, n)
+    v = v0.values
+    vc = _min_plus(pair2, v, n - 1)
     history = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        vc = c_transform(v, w, n)
-        residual = float(np.max(np.abs(v.values - vc.values)))
+        residual = float(np.max(np.abs(v - vc)))
         history.append(residual)
         if residual <= tol:
             converged = True
             break
-        v = Potential(v.grid, ((n - 1) * v.values + vc.values) / n)
-    vc = c_transform(v, w, n)
-    repaired = bool(np.any(v.values - vc.values > tol))
+        v = ((n - 1) * v + vc) / n
+        vc = _min_plus(pair2, v, n - 1)
+    repaired = bool(np.any(v - vc > tol))
     if repaired:
-        v = Potential(v.grid, np.minimum(v.values, vc.values))
+        v = np.minimum(v, vc)
     report = ConvergenceReport(
         converged, iterations, history[-1] if history else 0.0, tuple(history), repaired
     )
-    return v, report
+    return Potential(v0.grid, v), report
 
 
-@dataclass(frozen=True)
-class MarginReport:
-    margin: float
-    exhaustive: bool
-    samples: int
+def feasibility_margin(v: Potential, w: CostModel, n: int) -> float:
+    """Exact min over all grid n-tuples of c_n(x) - sum v(x_j), i.e. min(v_c - v).
 
-
-def feasibility_margin(
-    v: Potential, w: CostModel, n: int, seed: int = 0
-) -> MarginReport:
-    """min over grid tuples of c_n(x) - sum v(x_j).
-
-    Exhaustive when grid^n fits the guard, otherwise Monte Carlo over
-    random grid tuples (reported as sampled).
+    +inf cells of an unbounded cost never attain the minimum.
     """
-    g = v.size
-    pair = np.asarray(w.pair_matrix(v.grid), dtype=float)
-    u = v.values
-    if g**n <= TOL.margin_guard:
-        if n == 2:
-            margin = float(np.min(2.0 * pair - u[:, None] - u[None, :]))
-            return MarginReport(margin, True, g**2)
-        if n == 3:
-            best = np.inf
-            base = 2.0 * pair - u[:, None] - u[None, :]
-            for i in range(g):
-                best = min(
-                    best,
-                    float(
-                        np.min(
-                            base + 2.0 * pair[i][:, None] + 2.0 * pair[i][None, :] - u[i]
-                        )
-                    ),
-                )
-            return MarginReport(best, True, g**3)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, g, size=(TOL.margin_samples, n))
-    total = -u[idx].sum(axis=1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += 2.0 * pair[idx[:, i], idx[:, j]]
-    return MarginReport(float(np.min(total)), False, TOL.margin_samples)
+    return float(np.min(_min_plus(_doubled_pair_matrix(v, w, n), v.values, n - 1) - v.values))
 
 
 def duality_gap(
@@ -203,7 +184,7 @@ def duality_gap(
     infeasible potential is rejected.
     """
     if w is not None:
-        margin = feasibility_margin(v, w, n).margin
+        margin = feasibility_margin(v, w, n)
         if margin < -tol:
             raise DomainError(f"potential infeasible: margin {margin:.3e} < {-tol:.1e}")
     return float(transport_value - n * density_pairing(rho, v))
@@ -274,10 +255,10 @@ def untruncate_certificate(
     clears the support threshold, so the same duality gap certifies v for
     the untruncated problem.
     """
-    margin_trunc = feasibility_margin(v, w_trunc, n).margin
+    margin_trunc = feasibility_margin(v, w_trunc, n)
     if margin_trunc < -tol:
         raise DomainError("potential is not certified for the truncated cost")
-    margin_full = feasibility_margin(v, w_full, n).margin
+    margin_full = feasibility_margin(v, w_full, n)
     value_diff = abs(value_full - value_truncated)
     gap_full = duality_gap(rho, v, value_full, n)
     passed = (
@@ -368,7 +349,6 @@ def certify_potential(
     v0 = Potential(grid, np.interp(grid, marginal.atoms, symmetrized_duals(sol_h)))
     v, report = averaged_iteration(v0, w_h, n, max_iters=max_iters, tol=tol)
 
-    margin = feasibility_margin(v, w_h, n).margin
     gap_tol = gap_tolerance(grid_size, m)
     gap = duality_gap(rho, v, sol_h.value, n)
     if abs(gap) <= gap_tol:
@@ -382,7 +362,7 @@ def certify_potential(
     )
     return PotentialCertificate(
         potential=v,
-        margin=margin,
+        margin=unt.margin_truncated,
         gap=gap,
         oscillation=v.oscillation(),
         iterations=report.iterations,

@@ -259,7 +259,6 @@ def kinetic_energy(gamma: GammaEta) -> KineticReport:
     zs = gamma.zgrid
     dz = gamma.dz
     rho_s = rho.density(zs)
-    slopes = np.concatenate([rho._slopes, rho._slopes[-1:]])
     k = np.clip(np.searchsorted(rho.nodes, zs, side="right") - 1, 0, rho._slopes.size - 1)
     drho = rho._slopes[k]
     dsqrt_sq = drho**2 / (4.0 * rho_s)

@@ -113,6 +113,11 @@ class TestDeterminism:
             ["mmot-solve", "--density", "{density}", "--cost", "{cost}", "--n", "2", "--m", "4"],
             ["kantorovich", "--density", "{density}", "--cost", "{cost}",
              "--n", "2", "--grid", "32", "--m", "4"],
+            pytest.param(
+                ["kantorovich", "--density", "{density}", "--cost", "{cost}",
+                 "--n", "3", "--grid", "24", "--m", "6"],
+                id="kantorovich-n3",
+            ),
             ["semiclassical", "--density", "{density}", "--cost", "{cost}",
              "--n", "2", "--eps", "1e-1,1e-2", "--m", "8"],
         ],

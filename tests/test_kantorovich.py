@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ringmot.costs import InverseProfile, make_ring_cost, truncate
-from ringmot.errors import DomainError
+from ringmot.errors import DomainError, SizeGuardError
 from ringmot.kantorovich import (
     Potential,
     averaged_iteration,
@@ -37,7 +39,7 @@ class TestCTransform:
     def test_shift_covariance(self, ring10):
         v = zero_potential(33)
         base = c_transform(v, ring10, 2)
-        for n, c in ((2, 0.7), (3, -0.4)):
+        for n, c in ((2, 0.7), (3, -0.4), (4, 0.3)):
             lifted = c_transform(Potential(v.grid, v.values + c), ring10, n)
             plain = c_transform(v, ring10, n)
             assert np.allclose(lifted.values, plain.values - (n - 1) * c, atol=1e-12)
@@ -45,11 +47,30 @@ class TestCTransform:
     def test_double_transform_dominates_feasible(self, ring10):
         rng = np.random.default_rng(4)
         v = Potential(uniform_grid(33), rng.uniform(-1.0, 0.2, 33))
-        margin = feasibility_margin(v, ring10, 2).margin
+        margin = feasibility_margin(v, ring10, 2)
         if margin < 0:  # make it feasible by shifting down
             v = Potential(v.grid, v.values + margin / 2 - 1e-12)
         uc = c_transform(v, ring10, 2)
         assert np.all(v.values <= uc.values + 1e-12)
+
+    def test_min_plus_matches_brute_force_n4(self, ring10):
+        # reference: every grid 4-tuple of c_4 = sum over pairs of 2 w
+        rng = np.random.default_rng(23)
+        grid = uniform_grid(9)
+        v = Potential(grid, rng.uniform(-1.0, 1.0, 9))
+        pair2 = 2.0 * np.asarray(ring10.pair_matrix(grid))
+        best_x = np.full(9, np.inf)
+        for tup in itertools.product(range(9), repeat=4):
+            cost = sum(pair2[tup[i], tup[j]] for i in range(4) for j in range(i + 1, 4))
+            best_x[tup[0]] = min(best_x[tup[0]], cost - sum(v.values[j] for j in tup[1:]))
+        assert np.allclose(c_transform(v, ring10, 4).values, best_x, atol=1e-12)
+        assert feasibility_margin(v, ring10, 4) == pytest.approx(
+            float(np.min(best_x - v.values)), abs=1e-12
+        )
+
+    def test_guard_names_size(self, ring10):
+        with pytest.raises(SizeGuardError, match=r"1001\^2 = 1002001 exceeds .* 1000000"):
+            c_transform(zero_potential(1001), ring10, 3)
 
     def test_unbounded_rejected(self, ring_inverse):
         with pytest.raises(DomainError):
@@ -64,7 +85,7 @@ class TestCTransform:
             uc = c_transform(u, ring10, 2)
             shifted = c_transform(Potential(grid, u.values + c), ring10, 2)
             assert np.allclose(shifted.values, uc.values - c, atol=1e-12)
-            margin = feasibility_margin(u, ring10, 2).margin
+            margin = feasibility_margin(u, ring10, 2)
             if margin >= 0:
                 assert np.all(u.values <= uc.values + 1e-12)
 
@@ -81,12 +102,12 @@ class TestAveragedIteration:
         rng = np.random.default_rng(9)
         grid = uniform_grid(49)
         u = Potential(grid, rng.uniform(-0.5, 0.0, 49))
-        m0 = feasibility_margin(u, ring10, 2).margin
+        m0 = feasibility_margin(u, ring10, 2)
         if m0 < 0:
             u = Potential(grid, u.values + m0 / 2)
         uc = c_transform(u, ring10, 2)
         vbar = Potential(grid, (u.values + uc.values) / 2)
-        assert feasibility_margin(vbar, ring10, 2).margin >= -1e-12
+        assert feasibility_margin(vbar, ring10, 2) >= -1e-12
 
     def test_converges_from_lp_duals(self, uniform, ring10):
         sol = solve_mmot(quantize(uniform, 8), 2, ring10)
@@ -114,12 +135,12 @@ class TestAveragedIteration:
 
 class TestMarginAndGap:
     def test_zero_potential_nonneg_cost(self, ring10):
-        assert feasibility_margin(zero_potential(33), ring10, 2).margin >= 0.0
+        assert feasibility_margin(zero_potential(33), ring10, 2) >= 0.0
 
     def test_constructed_infeasible(self, ring10):
         big = 10.0 + 1.0  # above sup(c_2)/2 everywhere
         v = Potential(uniform_grid(33), np.full(33, big))
-        assert feasibility_margin(v, ring10, 2).margin < 0
+        assert feasibility_margin(v, ring10, 2) < 0
 
     def test_gap_of_zero_potential_is_value(self, uniform, ring10):
         sol = solve_mmot(quantize(uniform, 8), 2, ring10)
@@ -138,10 +159,15 @@ class TestMarginAndGap:
             lhs = plan_cost(plan, ring10) - 2 * density_pairing(cosine, cert.potential)
             assert lhs >= -5e-2  # quantized marginal differs from rho by O(1/m)
 
-    def test_monte_carlo_fallback(self, ring10):
-        v = zero_potential(250)  # 250^3 exceeds the exhaustive guard
-        report = feasibility_margin(v, ring10, 3)
-        assert report.exhaustive is False and report.margin >= 0.0
+    def test_needle_infeasibility_found_exactly(self, uniform, ring10):
+        # v = 1.3 on one equilateral triple only: margin 3 * 2/sqrt(3) - 3 * 1.3
+        g = 301
+        values = np.zeros(g)
+        values[[7, 107, 207]] = 1.3
+        v = Potential(uniform_grid(g), values)
+        assert feasibility_margin(v, ring10, 3) == pytest.approx(6 / np.sqrt(3) - 3.9, abs=1e-12)
+        with pytest.raises(DomainError):
+            duality_gap(uniform, v, 10.0, 3, w=ring10)
 
 
 class TestOscillation:
