@@ -92,6 +92,15 @@ class LPSolution:
         }
 
 
+# each residual of LPSolution.verify() and the Tolerances field that bounds it
+_RESIDUAL_BOUNDS = {
+    "primal_violation": "lp_feasibility_tol",
+    "dual_infeasibility": "lp_dual_tol",
+    "support_slackness": "lp_dual_tol",
+    "duality_gap": "lp_dual_tol",
+}
+
+
 def _cell_costs(marginal: DiscreteMarginal, n: int, w: CostModel):
     m = marginal.m
     pair = np.asarray(w.pair_matrix(marginal.atoms), dtype=float)
@@ -106,7 +115,12 @@ def _cell_costs(marginal: DiscreteMarginal, n: int, w: CostModel):
 
 
 def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
-    """Exact LP over the m^n joint tensor with marginal equality constraints."""
+    """Exact LP over the m^n joint tensor with marginal equality constraints.
+
+    An optimal solution is returned only if its certificate residuals
+    (``LPSolution.verify``) are within their ``TOL`` bounds; otherwise
+    StateError names the residual and the bound.
+    """
     if n < 2:
         raise DomainError("need n >= 2 marginals")
     m = marginal.m
@@ -150,7 +164,7 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     duals[0, :] = y[:m]
     for i in range(1, n):
         duals[i, : m - 1] = y[m + (i - 1) * (m - 1) : m + i * (m - 1)]
-    return LPSolution(
+    sol = LPSolution(
         "optimal",
         res.objective,
         plan,
@@ -162,6 +176,14 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
         _cell_costs=costs,
         _cell_mass=mass,
     )
+    for name, value in sol.verify().items():
+        bound = getattr(TOL, _RESIDUAL_BOUNDS[name])
+        if not value <= bound:
+            raise StateError(
+                f"LP solution fails its certificate: {name} = {value:.3e} "
+                f"exceeds TOL.{_RESIDUAL_BOUNDS[name]} = {bound:g}"
+            )
+    return sol
 
 
 def symmetrized_duals(sol: LPSolution) -> np.ndarray:

@@ -1,6 +1,9 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
+from ringmot.config import TOL
 from ringmot.costs import (
     CostModel,
     Envelopes,
@@ -10,6 +13,7 @@ from ringmot.costs import (
     PowerProfile,
     TableProfile,
     WellOrderReport,
+    _exchange_gaps,
     check_translation_invariant_criterion,
     check_well_ordering,
     cone_combine,
@@ -137,6 +141,111 @@ class TestWellOrdering:
                             window=(0.0, 4.0))
         report = check_well_ordering(w, grid_size=16, strict=True)
         assert report.verdict in ("well_ordering", "strictly_well_ordering")
+
+
+def brute_force_gaps(C, strict):
+    """Itertools reference for the scan: minimum near and far gaps of one pair
+    matrix over every sorted index quadruple with a finite nested sum."""
+    q = np.array(list(combinations_with_replacement(range(C.shape[0]), 4)))
+    i, j, k, l = q.T
+    nested = C[i, k] + C[j, l]
+    counted = np.isfinite(nested)
+    near_ok = counted & ~(strict & (j == k))
+    far_ok = counted & ~(strict & ((i == j) | (k == l)))
+    with np.errstate(invalid="ignore"):
+        near = np.where(near_ok, C[i, j] + C[k, l] - nested, np.inf)
+        far = np.where(far_ok, C[i, l] + C[j, k] - nested, np.inf)
+    return float(near.min()), float(far.min())
+
+
+def scan_cost(name):
+    one_body = CostModel(kind="one-body", raw=lambda x, y: np.sin(x) + np.sin(y),
+                         domain=(0.0, TWO_PI))
+    return {
+        "ring-inverse": make_ring_cost(InverseProfile()),  # +inf diagonal and 0/2pi cell
+        "torus-linear": make_torus_cost(LinearProfile(np.pi, 1.0)),
+        "torus-square": make_torus_cost(PowerProfile(2.0)),
+        "convex-graph": random_convex_graph_cost(0),
+        "one-body": one_body,
+    }[name]
+
+
+class TestExchangeScan:
+    """The O(G^3) pair-matrix scan against an itertools brute force."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("grid_size", [8, 16, 24])
+    @pytest.mark.parametrize(
+        "name", ["ring-inverse", "torus-linear", "torus-square", "convex-graph", "one-body"]
+    )
+    def test_matches_brute_force(self, name, grid_size, strict):
+        w = scan_cost(name)
+        xs = np.linspace(*w.domain, grid_size)
+        C = w.pair_matrix(xs)
+        scan = _exchange_gaps(C[None])[0].min(axis=0)
+        near, far = scan[2:] if strict else scan[:2]
+        ref_near, ref_far = brute_force_gaps(C, strict)
+        for got, ref in ((near, ref_near), (far, ref_far)):
+            assert got == ref if np.isinf(ref) else got == pytest.approx(ref, abs=1e-12)
+
+        margin = min(brute_force_gaps(C, False))
+        strict_margin = min(brute_force_gaps(C, True))
+        if margin < -TOL.well_order_slack:
+            expected = "violated"
+        elif strict and strict_margin > TOL.well_order_slack:
+            expected = "strictly_well_ordering"
+        else:
+            expected = "well_ordering"
+        report = check_well_ordering(w, grid_size=grid_size, strict=strict, n_random=0)
+        assert report.verdict == expected
+        reported = margin if expected == "violated" else max(margin, 0.0)
+        assert report.margin == pytest.approx(reported, abs=1e-12)
+
+
+def tabular_cost(table, domain=(0.0, 1.0)):
+    """Cost looked up from a symmetric table at the nearest grid index."""
+    lo, hi = domain
+    last = table.shape[0] - 1
+
+    def raw(x, y):
+        i = np.clip(np.rint((x - lo) / (hi - lo) * last).astype(int), 0, last)
+        j = np.clip(np.rint((y - lo) / (hi - lo) * last).astype(int), 0, last)
+        return table[i, j]
+
+    return CostModel(kind="tabular", raw=raw, domain=domain)
+
+
+class TestCertificateMutations:
+    """Perturbed costs must turn the well-ordering certificate into a violation."""
+
+    def test_raised_grid_pair_is_violated(self):
+        xs = np.linspace(0.0, 1.0, 16)
+        table = np.exp(-np.abs(xs[:, None] - xs[None, :]))
+        assert check_well_ordering(tabular_cost(table), grid_size=16).verdict == "well_ordering"
+        table[3, 9] = table[9, 3] = table[3, 9] + 0.05
+        w = tabular_cost(table)
+        report = check_well_ordering(w, grid_size=16)
+        assert report.verdict == "violated"
+        cx = report.counterexample
+        x1, x2, x3, x4 = cx["points"]
+        assert x1 <= x2 <= x3 <= x4
+        assert cx["nested"] == w(x1, x3) + w(x2, x4)
+        assert cx["near"] == w(x1, x2) + w(x3, x4)
+        assert cx["far"] == w(x1, x4) + w(x2, x3)
+        assert min(cx["near"], cx["far"]) - cx["nested"] == pytest.approx(report.margin, abs=1e-12)
+
+    def test_dent_between_grid_distances_needs_random_sets(self):
+        # a tent bump on the torus-linear profile, zero at every grid distance
+        grid_size = 16
+        h = TWO_PI / (grid_size - 1)
+
+        def g(d):
+            d = np.asarray(d, dtype=float)
+            return np.pi - d + 0.3 * np.maximum(0.0, 1.0 - np.abs(d - 2.5 * h) / (0.4 * h))
+
+        w = make_torus_cost(g)
+        assert check_well_ordering(w, grid_size=grid_size, n_random=0).verdict == "well_ordering"
+        assert check_well_ordering(w, grid_size=grid_size, seed=7).verdict == "violated"
 
 
 class TestTranslationInvariantCriterion:
@@ -268,10 +377,22 @@ class TestSupportThresholds:
 
 
 class TestSymmetryAndSerialization:
-    def test_symmetry_on_random_pairs(self, ring_inverse):
+    @pytest.mark.parametrize("kind", ["ring", "torus", "graph", "sum", "truncated"])
+    def test_symmetry_on_random_pairs(self, kind, ring_inverse, torus_linear):
+        w = {
+            "ring": ring_inverse,
+            "torus": torus_linear,
+            "graph": random_convex_graph_cost(1, window_hi=TWO_PI),
+            "sum": cone_combine([ring_inverse, torus_linear], [1.0, 0.5]),
+            "truncated": truncate(ring_inverse, 3.0),
+        }[kind]
         rng = np.random.default_rng(3)
         xs, ys = rng.uniform(0, TWO_PI, (2, 10_000))
-        assert np.array_equal(ring_inverse(xs, ys), ring_inverse(ys, xs))
+        assert np.array_equal(w(xs, ys), w(ys, xs))
+
+    def test_asymmetric_raw_rejected(self):
+        with pytest.raises(ConstructionError, match="not exactly symmetric"):
+            CostModel(kind="skew", raw=lambda x, y: np.exp(-(x - y)), domain=(0.0, TWO_PI))
 
     def test_cost_spec_roundtrip(self, ring_inverse):
         again = cost_from_spec(ring_inverse.spec)

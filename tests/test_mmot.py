@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import ringmot.mmot
 from ringmot.costs import (
     CostModel,
     InverseProfile,
@@ -81,6 +84,22 @@ class TestCertificates:
         assert res["dual_infeasibility"] <= 1e-7
         assert res["support_slackness"] <= 1e-7
         assert res["duality_gap"] <= 1e-7
+
+    @pytest.mark.parametrize(
+        "field,residual", [("x", "primal_violation"), ("y", "dual_infeasibility")]
+    )
+    def test_perturbed_simplex_result_raises(
+        self, monkeypatch, cosine, ring_inverse, field, residual
+    ):
+        exact = ringmot.mmot.solve_equality_lp
+
+        def perturbed(*args, **kwargs):
+            res = exact(*args, **kwargs)
+            return dataclasses.replace(res, **{field: getattr(res, field) * (1.0 + 1e-3)})
+
+        monkeypatch.setattr(ringmot.mmot, "solve_equality_lp", perturbed)
+        with pytest.raises(StateError, match=residual):
+            solve_mmot(quantize(cosine, 6), 2, ring_inverse)
 
     def test_dual_feasibility_all_cells(self, uniform):
         w = make_ring_cost(LinearProfile(4.0, 1.0))
