@@ -33,7 +33,8 @@ from .swaplab import Bipartition, reduce_to_wellordered
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _sha256(path: Path) -> str:
@@ -122,15 +123,9 @@ def cmd_mmot_solve(args) -> int:
     rho, _ = load_density(args.density)
     w = load_cost(args.cost)
     sol = solve_mmot(quantize(rho, args.m), args.n, w)
-    result = {
-        "schema": 1,
-        "status": sol.status,
-        "value": sol.value,
-        "iterations": sol.iterations,
-        "plan_csv": "plan.csv",
-        "duals_csv": "duals.csv",
-    }
+    result = {"schema": 1, "status": sol.status, "value": None, "iterations": sol.iterations}
     if sol.status == "optimal":
+        result.update(value=sol.value, plan_csv="plan.csv", duals_csv="duals.csv")
         sol.plan.to_csv(out / "plan.csv")
         v = symmetrized_duals(sol)
         with open(out / "duals.csv", "w", newline="", encoding="utf-8") as fh:

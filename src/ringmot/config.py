@@ -11,19 +11,11 @@ from dataclasses import dataclass
 class Tolerances:
     # measure1d
     mass_tol: float = 1e-12          # |integral of density - 1|
-    segment_mass_tol: float = 1e-10  # |segment mass - 1/n|
-    quantile_cdf_tol: float = 1e-12  # |cdf(quantile(q)) - q|
-    inverse_roundtrip_tol: float = 1e-9   # |quantile(cdf(x)) - x| where rho > 0
     concentration_windows: int = 4096
 
     # costs
     well_order_slack: float = 1e-9
-    envelope_sandwich_tol: float = 1e-9
     threshold_inflation: float = 1e-6  # relative bump applied to the truncation level
-
-    # seidl
-    cdf_conjugacy_tol: float = 1e-9
-    cycle_tol: float = 1e-8
 
     # mmot
     lp_pivot_tol: float = 1e-9

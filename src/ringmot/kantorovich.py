@@ -64,12 +64,6 @@ def density_pairing(rho: GridDensity, v: Potential) -> float:
     return float(np.dot(quad_weights(v.grid), rho.density(v.grid) * v.values))
 
 
-def normalized(v: Potential, rho: GridDensity, transport_value: float, n: int) -> Potential:
-    """Shift so that n <rho, v> equals the transport value."""
-    shift = density_pairing(rho, v) - transport_value / n
-    return Potential(v.grid, v.values - shift, "normalized")
-
-
 def _doubled_pair_matrix(v: Potential, w: CostModel, n: int) -> np.ndarray:
     """2 w on the grid, after the grid^(n-1) guard (checked before any work)."""
     if n < 2:

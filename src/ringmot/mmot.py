@@ -162,8 +162,7 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     y = res.y * scale  # undo row scaling
     duals = np.zeros((n, m))
     duals[0, :] = y[:m]
-    for i in range(1, n):
-        duals[i, : m - 1] = y[m + (i - 1) * (m - 1) : m + i * (m - 1)]
+    duals[1:, : m - 1] = y[m:].reshape(n - 1, m - 1)
     sol = LPSolution(
         "optimal",
         res.objective,

@@ -1,9 +1,15 @@
 """Two-phase revised simplex for equality-constrained LPs with sparse columns.
 
 Columns are given structurally: each variable touches at most K rows, with
-the row indices and coefficients stored in padded (N, K) arrays. The basis
-matrix is dense and small (tens of rows), so factorizations are cheap and
-the basic solution is recomputed from scratch every iteration.
+the row indices and coefficients stored in padded (N, K) arrays (-1 pads).
+The m artificial variables are appended to that table as unit columns
+N .. N+m-1, so both phases price, enter and build the basis from one
+column table: B is one scatter into an (m+1, m) array whose last row
+absorbs the padding, and reduced costs are one gather against the duals
+extended by a zero for the padding. Phase 2 prices only the first N
+columns, so artificials never re-enter; they may stay basic at zero. The
+basis matrix is dense and small (tens of rows), so factorizations are
+cheap and the basic solution is recomputed from scratch every iteration.
 
 Pricing uses the most-negative reduced cost with lowest-index tie-breaks;
 after a run of degenerate pivots without objective progress the rule
@@ -19,6 +25,10 @@ import numpy as np
 
 from .config import TOL
 
+MAX_PIVOTS = 200_000   # over both phases; past it the LP reports unbounded-guard
+STALL_LIMIT = 32       # degenerate pivots before switching to Bland's rule
+
+
 @dataclass(frozen=True)
 class LPResult:
     status: str          # optimal | infeasible | unbounded-guard
@@ -28,64 +38,39 @@ class LPResult:
     iterations: int
 
 
-def _column(rows, coeffs, j, m):
-    col = np.zeros(m)
-    mask = rows[j] >= 0
-    col[rows[j][mask]] = coeffs[j][mask]
-    return col
-
-
-def solve_equality_lp(
-    rows: np.ndarray,
-    coeffs: np.ndarray,
-    c: np.ndarray,
-    b: np.ndarray,
-    tol: float = TOL.lp_pivot_tol,
-    max_iters: int = 200_000,
-) -> LPResult:
+def solve_equality_lp(rows: np.ndarray, coeffs: np.ndarray, c: np.ndarray, b: np.ndarray) -> LPResult:
     """Minimize c.x subject to A x = b, x >= 0.
 
-    rows / coeffs describe A column-wise with -1 padding. b must be
-    non-negative (flip row signs beforehand if needed).
+    rows / coeffs describe A column-wise with -1 padding (K >= 1). b must
+    be non-negative (flip row signs beforehand if needed).
     """
-    n_vars, _ = rows.shape
+    n_vars, width = rows.shape
     m = b.size
     if np.any(b < 0):
         raise ValueError("b must be non-negative")
+    tol = TOL.lp_pivot_tol
 
-    # artificial variables occupy indices n_vars .. n_vars + m - 1
+    # artificial variables are unit columns n_vars .. n_vars + m - 1
+    unit_rows = np.full((m, width), -1, dtype=rows.dtype)
+    unit_rows[:, 0] = np.arange(m)
+    rows = np.concatenate([rows, unit_rows])
+    coeffs = np.concatenate([coeffs, (unit_rows >= 0).astype(float)])
     basis = np.arange(n_vars, n_vars + m)
-    valid = rows >= 0
-    safe_rows = np.where(valid, rows, 0)
-
-    def reduced_costs(y, cost_vec):
-        gathered = np.where(valid, y[safe_rows] * coeffs, 0.0)
-        return cost_vec - gathered.sum(axis=1)
-
-    def basis_matrix(basis):
-        B = np.zeros((m, m))
-        for i, j in enumerate(basis):
-            if j >= n_vars:
-                B[j - n_vars, i] = 1.0
-            else:
-                mask = valid[j]
-                B[rows[j][mask], i] = coeffs[j][mask]
-        return B
-
+    positions = np.arange(m)[:, None]
     total_iters = 0
 
-    stall_limit = 32
-
-    def run_phase(cost_vec, allow_artificial):
-        nonlocal basis, total_iters
+    def run_phase(cost_vec, n_priced):
+        nonlocal total_iters
         last_obj = np.inf
         stalled = 0
         bland = False
         while True:
-            if total_iters > max_iters:
-                return "unbounded-guard"
+            if total_iters > MAX_PIVOTS:
+                return "unbounded", None, None
             total_iters += 1
-            B = basis_matrix(basis)
+            B = np.zeros((m + 1, m))
+            B[rows[basis], positions] = coeffs[basis]
+            B = B[:m]
             x_b = np.linalg.solve(B, b)
             c_b = cost_vec[basis]
             obj = float(np.dot(c_b, x_b))
@@ -95,33 +80,21 @@ def solve_equality_lp(
                 bland = False
             else:
                 stalled += 1
-                if stalled >= stall_limit:
+                if stalled >= STALL_LIMIT:
                     bland = True  # anti-cycling mode until progress resumes
             y = np.linalg.solve(B.T, c_b)
-            r = reduced_costs(y, cost_vec[:n_vars])
+            y_pad = np.append(y, 0.0)  # padding index -1 reads this zero
+            r = cost_vec[:n_priced] - (y_pad[rows[:n_priced]] * coeffs[:n_priced]).sum(axis=1)
             candidates = np.flatnonzero(r < -tol)
-            r_cand = r[candidates]
-            if allow_artificial:
-                r_art = cost_vec[n_vars:] - y
-                art_candidates = np.flatnonzero(r_art < -tol) + n_vars
-                if art_candidates.size:
-                    candidates = np.concatenate([candidates, art_candidates])
-                    r_cand = np.concatenate([r_cand, r_art[art_candidates - n_vars]])
             if candidates.size == 0:
-                return "optimal"
-            if bland:
-                entering = int(candidates.min())
-            else:
-                entering = int(candidates[np.argmin(r_cand)])
-            col = (
-                _column(rows, coeffs, entering, m)
-                if entering < n_vars
-                else np.eye(m)[entering - n_vars]
-            )
-            d = np.linalg.solve(B, col)
+                return "optimal", x_b, y
+            entering = int(candidates.min() if bland else candidates[np.argmin(r[candidates])])
+            col = np.zeros(m + 1)
+            col[rows[entering]] = coeffs[entering]
+            d = np.linalg.solve(B, col[:m])
             movable = d > tol
             if not np.any(movable):
-                return "unbounded"
+                return "unbounded", None, None
             with np.errstate(divide="ignore"):
                 ratios = np.where(movable, x_b / np.where(movable, d, 1.0), np.inf)
             theta = ratios[movable].min()
@@ -131,27 +104,15 @@ def solve_equality_lp(
             basis[leave_pos] = entering
 
     # phase 1: drive artificials out
-    cost1 = np.concatenate([np.zeros(n_vars), np.ones(m)])
-    status = run_phase(cost1, allow_artificial=True)
-    B = basis_matrix(basis)
-    x_b = np.linalg.solve(B, b)
-    art_mass = float(x_b[basis >= n_vars].sum()) if np.any(basis >= n_vars) else 0.0
-    if status != "optimal" or art_mass > 1e-7:
+    status, x_b, _ = run_phase(np.concatenate([np.zeros(n_vars), np.ones(m)]), n_vars + m)
+    if status != "optimal" or float(x_b[basis >= n_vars].sum()) > 1e-7:
         return LPResult("infeasible", np.zeros(n_vars), np.zeros(m), np.inf, total_iters)
 
     # phase 2: real objective; artificials may remain basic at zero
-    cost2 = np.concatenate([np.asarray(c, dtype=float), np.zeros(m)])
-    status = run_phase(cost2, allow_artificial=False)
-    if status == "unbounded":
-        return LPResult("unbounded-guard", np.zeros(n_vars), np.zeros(m), -np.inf, total_iters)
+    status, x_b, y = run_phase(np.concatenate([np.asarray(c, dtype=float), np.zeros(m)]), n_vars)
     if status != "optimal":
-        return LPResult("unbounded-guard", np.zeros(n_vars), np.zeros(m), np.nan, total_iters)
-
-    B = basis_matrix(basis)
-    x_b = np.linalg.solve(B, b)
-    y = np.linalg.solve(B.T, cost2[basis])
+        return LPResult("unbounded-guard", np.zeros(n_vars), np.zeros(m), -np.inf, total_iters)
     x = np.zeros(n_vars)
     real = basis < n_vars
     x[basis[real]] = np.maximum(x_b[real], 0.0)
-    objective = float(np.dot(c, x))
-    return LPResult("optimal", x, y, objective, total_iters)
+    return LPResult("optimal", x, y, float(np.dot(c, x)), total_iters)

@@ -55,6 +55,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    def test_non_optimal_lp_writes_strict_json(self, specs, tmp_path):
+        # n=3 on two atoms: every cell repeats an atom, so the LP is infeasible
+        out = tmp_path / "infeasible"
+        code = run(["mmot-solve", "--density", specs["density"], "--cost", specs["cost"],
+                    "--n", "3", "--m", "2", "--out", str(out)])
+        assert code == 1
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        result = json.loads((out / "result.json").read_text(), parse_constant=reject)
+        assert result["status"] == "infeasible"
+        assert result["value"] is None
+        for key, name in result.items():
+            if key.endswith("_csv"):
+                assert (out / name).exists(), name
+        assert not (out / "plan.csv").exists() and not (out / "duals.csv").exists()
+
     def test_guard_violation(self, specs, tmp_path, capsys):
         code = run(["mmot-solve", "--density", specs["density"], "--cost", specs["cost"],
                     "--n", "3", "--m", "60", "--out", str(tmp_path / "z")])

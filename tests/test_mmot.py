@@ -17,6 +17,7 @@ from ringmot.costs import (
 from ringmot.errors import DomainError, SizeGuardError, StateError
 from ringmot.mmot import DiscreteMarginal, quantize, solve_mmot, symmetrized_duals
 from ringmot.seidl import plan_cost, seidl_plan
+from ringmot.simplex import solve_equality_lp
 
 from conftest import TWO_PI
 
@@ -190,3 +191,83 @@ class TestOracleEquivalence:
         assert abs(full.value - trunc.value) <= 1e-7
         for atoms in trunc.plan.atoms:
             assert ring_inverse(atoms[0], atoms[1]) <= th.h
+
+
+def _dense(rows, coeffs, n_rows):
+    A = np.zeros((n_rows, rows.shape[0]))
+    for j, (r, a) in enumerate(zip(rows, coeffs)):
+        A[r[r >= 0], j] = a[r >= 0]
+    return A
+
+
+def _transport_lp(rng, n, m):
+    """All n*m marginal rows (so n - 1 are redundant), random costs and weights."""
+    weights = rng.uniform(0.5, 1.5, m)
+    weights /= weights.sum()
+    digits = np.stack(np.meshgrid(*([np.arange(m)] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    rows = digits + m * np.arange(n)
+    coeffs = np.ones(rows.shape)
+    c = rng.uniform(0.0, 3.0, rows.shape[0])
+    return rows, coeffs, c, np.tile(weights, n)
+
+
+class TestEqualityLP:
+    """solve_equality_lp on hand-made LPs, without the transport layer."""
+
+    def test_infeasible(self):
+        # x0 = 1 and x0 = 2 in two rows
+        rows, coeffs = np.array([[0, 1]]), np.ones((1, 2))
+        res = solve_equality_lp(rows, coeffs, np.array([1.0]), np.array([1.0, 2.0]))
+        assert res.status == "infeasible"
+        assert res.objective == np.inf
+
+    def test_improving_ray(self):
+        # x0 - x1 = 0: minimizing -x0 moves along the ray x0 = x1 forever
+        rows, coeffs = np.array([[0], [0]]), np.array([[1.0], [-1.0]])
+        res = solve_equality_lp(rows, coeffs, np.array([-1.0, 0.0]), np.array([0.0]))
+        assert res.status == "unbounded-guard"
+
+    def test_negative_rhs_rejected(self):
+        with pytest.raises(ValueError):
+            solve_equality_lp(np.array([[0]]), np.ones((1, 1)), np.ones(1), np.array([-1.0]))
+
+    def test_redundant_row_keeps_artificial(self):
+        # rows 0 and 1 are both x0 + x1 + x2 = 1, so one basis slot stays
+        # with an artificial at zero; only one structural variable is positive
+        rows = np.array([[0, 1], [0, 1], [0, 1]])
+        coeffs = np.ones((3, 2))
+        c = np.array([3.0, 1.0, 2.0])
+        res = solve_equality_lp(rows, coeffs, c, np.array([1.0, 1.0]))
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(res.x, [0.0, 1.0, 0.0], atol=1e-12)
+        A = _dense(rows, coeffs, 2)
+        assert np.min(c - A.T @ res.y) >= -1e-12          # dual feasible
+        assert np.dot(res.y, [1.0, 1.0]) == pytest.approx(res.objective, abs=1e-12)
+
+    @pytest.mark.parametrize("n,m,seed", [(2, 5, 0), (2, 8, 1), (3, 4, 2), (3, 5, 3)])
+    def test_matches_highs(self, n, m, seed):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rows, coeffs, c, b = _transport_lp(np.random.default_rng(seed), n, m)
+        res = solve_equality_lp(rows, coeffs, c, b)
+        assert res.status == "optimal"
+        ref = scipy_optimize.linprog(
+            c, A_eq=_dense(rows, coeffs, b.size), b_eq=b, bounds=(0, None), method="highs"
+        )
+        assert ref.status == 0
+        assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+
+
+class TestPivotSequence:
+    """Pivot counts of two small fixed LPs. Counts swing widely under small
+    input changes, so any change to pricing, the Bland switch or the ratio
+    test shows up here before it shows up in the CLI bytes."""
+
+    @pytest.mark.parametrize(
+        "n,m,cost,pivots",
+        [(2, 16, "ring_inverse", 189), (3, 12, "ring_exp2", 494)],
+    )
+    def test_iterations_pinned(self, request, cosine, n, m, cost, pivots):
+        sol = solve_mmot(quantize(cosine, m), n, request.getfixturevalue(cost))
+        assert sol.status == "optimal"
+        assert sol.iterations == pivots
