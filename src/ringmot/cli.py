@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 One process per command; every command writes its data artifacts plus a
-manifest JSON (input hashes, parameters, versions, wall time) into the
-output directory. Data outputs are byte-deterministic for fixed arguments;
-the manifest timestamp and wall time are the only non-reproducible fields.
+manifest JSON (input hashes, parameters, versions, solver stages, wall
+time) into the output directory. Data outputs are byte-deterministic for
+fixed arguments; the manifest timestamp and wall time are the only
+non-reproducible fields.
 
 Exit codes: 0 success, 1 verdict failure (e.g. --expect mismatch), 2 errors.
 """
@@ -26,7 +27,7 @@ from .costs import check_well_ordering, load_cost, support_thresholds, truncate
 from .errors import RingmotError
 from .kantorovich import certify_potential
 from .measure1d import load_density
-from .mmot import quantize, solve_mmot, symmetrized_duals
+from .mmot import SIMPLEX_COUNTERS, quantize, solve_mmot, symmetrized_duals
 from .seidl import plan_cost, seidl_plan
 from .semiclassical import Mollifier, upper_bound_curve
 from .swaplab import Bipartition, reduce_to_wellordered
@@ -41,7 +42,9 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _manifest(out: Path, command: str, params: dict, inputs: list, started: float) -> None:
+def _manifest(
+    out: Path, command: str, params: dict, inputs: list, started: float, stages: dict | None = None
+) -> None:
     params = {k: v for k, v in params.items() if k != "func"}
     _write_json(
         out / "manifest.json",
@@ -51,6 +54,7 @@ def _manifest(out: Path, command: str, params: dict, inputs: list, started: floa
             "parameters": params,
             "inputs": {str(p): _sha256(Path(p)) for p in inputs},
             "versions": {"ringmot": __version__, "numpy": np.__version__},
+            "stages": stages or {},
             "wall_time_s": time.time() - started,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         },
@@ -140,7 +144,8 @@ def cmd_mmot_solve(args) -> int:
                     + [f"{v[j]:.17g}"]
                 )
     _write_json(out / "result.json", result)
-    _manifest(out, "mmot-solve", vars(args), [args.density, args.cost], started)
+    simplex = {key: getattr(sol, key) for key in SIMPLEX_COUNTERS}
+    _manifest(out, "mmot-solve", vars(args), [args.density, args.cost], started, {"simplex": simplex})
     return 0 if sol.status == "optimal" else 1
 
 

@@ -54,6 +54,10 @@ def quantize(rho: GridDensity, m: int) -> DiscreteMarginal:
     return DiscreteMarginal(np.atleast_1d(atoms), np.full(m, 1.0 / m))
 
 
+# LPResult fields that LPSolution carries over as solver telemetry
+SIMPLEX_COUNTERS = ("iterations", "phase1_pivots", "degenerate_pivots", "bland_pivots")
+
+
 @dataclass(frozen=True)
 class LPSolution:
     """Optimal plan, value, and per-marginal duals of the discrete problem."""
@@ -64,7 +68,10 @@ class LPSolution:
     duals: np.ndarray | None         # (n, m); dropped rows carry 0
     marginal: DiscreteMarginal
     n: int
-    iterations: int
+    iterations: int                  # simplex pricing passes, both phases
+    phase1_pivots: int = 0           # of those, passes in phase 1
+    degenerate_pivots: int = 0       # pivots without objective drop beyond TOL.lp_pivot_tol
+    bland_pivots: int = 0            # entering columns chosen under Bland's rule
     _cell_digits: np.ndarray | None = field(default=None, repr=False)
     _cell_costs: np.ndarray | None = field(default=None, repr=False)
     _cell_mass: np.ndarray | None = field(default=None, repr=False)
@@ -151,8 +158,9 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     col_coeffs = np.where(col_rows >= 0, scale[np.maximum(col_rows, 0)], 0.0)
 
     res = solve_equality_lp(col_rows, col_coeffs, costs, b * scale)
+    counters = {key: getattr(res, key) for key in SIMPLEX_COUNTERS}
     if res.status != "optimal":
-        return LPSolution(res.status, np.inf, None, None, marginal, n, res.iterations)
+        return LPSolution(res.status, np.inf, None, None, marginal, n, **counters)
 
     mass = res.x
     support = mass > 1e-12
@@ -170,7 +178,7 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
         duals,
         marginal,
         n,
-        res.iterations,
+        **counters,
         _cell_digits=digits,
         _cell_costs=costs,
         _cell_mass=mass,

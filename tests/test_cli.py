@@ -100,6 +100,11 @@ class TestArtifacts:
         assert (out / "plan.csv").exists() and (out / "duals.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["inputs"]) == {specs["density"], specs["cost"]}
+        simplex = manifest["stages"]["simplex"]
+        assert set(simplex) == {"iterations", "phase1_pivots", "degenerate_pivots", "bland_pivots"}
+        assert simplex["iterations"] == result["iterations"]
+        assert 0 < simplex["phase1_pivots"] < simplex["iterations"]
+        assert "stages" not in result
 
     def test_kantorovich_certificate(self, specs, tmp_path):
         out = tmp_path / "kant"

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import ringmot.mmot
+import ringmot.simplex
 from ringmot.costs import (
     CostModel,
+    ExpProfile,
     InverseProfile,
     LinearProfile,
     PowerProfile,
@@ -15,6 +17,7 @@ from ringmot.costs import (
     truncate,
 )
 from ringmot.errors import DomainError, SizeGuardError, StateError
+from ringmot.measure1d import GridDensity
 from ringmot.mmot import DiscreteMarginal, quantize, solve_mmot, symmetrized_duals
 from ringmot.seidl import plan_cost, seidl_plan
 from ringmot.simplex import solve_equality_lp
@@ -161,6 +164,19 @@ class TestSimplexAgainstBruteForce:
         )
         assert sol.value == pytest.approx(brute, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("m", [8, 16, 32])
+    @pytest.mark.parametrize("profile", [InverseProfile(), ExpProfile(rate=1.0)], ids=["inverse", "exp"])
+    def test_matches_linear_sum_assignment(self, seed, m, profile):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        w = make_ring_cost(profile)
+        marg = quantize(GridDensity.random_positive(seed), m)
+        pair = np.asarray(w.pair_matrix(marg.atoms), dtype=float)
+        finite = np.isfinite(pair)
+        pair = np.where(finite, pair, 1e6 * pair[finite].max())  # the LP drops these cells
+        i, j = scipy_optimize.linear_sum_assignment(pair)
+        assert solve_mmot(marg, 2, w).value == pytest.approx(2.0 / m * pair[i, j].sum(), abs=1e-9)
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("n,m", [(2, 4), (2, 8), (3, 6)])
@@ -231,6 +247,25 @@ class TestEqualityLP:
         with pytest.raises(ValueError):
             solve_equality_lp(np.array([[0]]), np.ones((1, 1)), np.ones(1), np.array([-1.0]))
 
+    def test_table_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"rows \(2, 2\) and coeffs \(2, 3\)"):
+            solve_equality_lp(np.zeros((2, 2), int), np.ones((2, 3)), np.ones(2), np.ones(1))
+
+    def test_cost_length_rejected(self):
+        # a c of the wrong length would misprice the artificial columns
+        with pytest.raises(ValueError, match=r"c has shape \(2,\), expected \(3,\)"):
+            solve_equality_lp(np.zeros((3, 1), int), np.ones((3, 1)), np.ones(2), np.ones(1))
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError, match=r"K >= 1 .* \(3, 0\)"):
+            solve_equality_lp(np.zeros((3, 0), int), np.ones((3, 0)), np.ones(3), np.ones(1))
+
+    @pytest.mark.parametrize("bad", [2, -2])
+    def test_row_index_out_of_range_rejected(self, bad):
+        rows = np.array([[0, 1], [1, bad]])
+        with pytest.raises(ValueError, match=rf"row index {bad} .* m = 2"):
+            solve_equality_lp(rows, np.ones((2, 2)), np.ones(2), np.ones(2))
+
     def test_redundant_row_keeps_artificial(self):
         # rows 0 and 1 are both x0 + x1 + x2 = 1, so one basis slot stays
         # with an artificial at zero; only one structural variable is positive
@@ -265,9 +300,33 @@ class TestPivotSequence:
 
     @pytest.mark.parametrize(
         "n,m,cost,pivots",
-        [(2, 16, "ring_inverse", 189), (3, 12, "ring_exp2", 494)],
+        [(2, 16, "ring_inverse", 189), (3, 12, "ring_exp2", 494), (4, 8, "ring_inverse", 449)],
     )
     def test_iterations_pinned(self, request, cosine, n, m, cost, pivots):
         sol = solve_mmot(quantize(cosine, m), n, request.getfixturevalue(cost))
         assert sol.status == "optimal"
         assert sol.iterations == pivots
+
+    @pytest.mark.parametrize(
+        "n,m,cost,phase1,degenerate,bland",
+        [
+            (2, 16, "ring_inverse", 143, 159, 0),
+            (3, 12, "ring_exp2", 175, 350, 186),   # reaches Bland's rule
+            (4, 8, "ring_inverse", 170, 349, 147),
+        ],
+    )
+    def test_counters_pinned(self, request, cosine, n, m, cost, phase1, degenerate, bland):
+        sol = solve_mmot(quantize(cosine, m), n, request.getfixturevalue(cost))
+        assert (sol.phase1_pivots, sol.degenerate_pivots, sol.bland_pivots) == (
+            phase1, degenerate, bland
+        )
+
+    @pytest.mark.parametrize("max_pivots,phase1", [(3, 4), (143, 143)])
+    def test_guard_stop_is_not_infeasible(self, monkeypatch, cosine, ring_inverse, max_pivots, phase1):
+        # the guard trips in phase 1 (3) or on the first phase-2 pass (143);
+        # a transport LP is feasible, so neither stop may read as infeasible
+        monkeypatch.setattr(ringmot.simplex, "MAX_PIVOTS", max_pivots)
+        sol = solve_mmot(quantize(cosine, 16), 2, ring_inverse)
+        assert sol.status == "unbounded-guard"
+        assert sol.phase1_pivots == phase1
+        assert sol.iterations == max_pivots + 1
