@@ -29,7 +29,7 @@ from .kantorovich import certify_potential
 from .measure1d import load_density
 from .mmot import SIMPLEX_COUNTERS, quantize, solve_mmot, symmetrized_duals
 from .seidl import plan_cost, seidl_plan
-from .semiclassical import Mollifier, upper_bound_curve
+from .semiclassical import upper_bound_curve
 from .swaplab import Bipartition, reduce_to_wellordered
 
 
@@ -174,7 +174,7 @@ def cmd_semiclassical(args) -> int:
         thresholds = support_thresholds(rho, w, args.radius, args.n)
         w = truncate(w, thresholds.h)
     eps = [float(v) for v in args.eps.split(",")]
-    curve = upper_bound_curve(rho, w, args.n, eps, m=args.m, chi=Mollifier.bump())
+    curve = upper_bound_curve(rho, w, args.n, eps, m=args.m)
     with open(out / "curve.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eps", "eta", "kinetic", "interaction", "bound"])
@@ -190,7 +190,6 @@ def cmd_semiclassical(args) -> int:
             "reference": curve.reference,
             "slope": curve.slope,
             "eta_coefficient": curve.eta_coefficient,
-            "notice": curve.notice,
         },
     )
     _manifest(out, "semiclassical", vars(args), [args.density, args.cost], started)

@@ -24,7 +24,7 @@ from math import factorial
 import numpy as np
 
 from .config import TOL, TWO_PI
-from .costs import CostModel
+from .costs import CostModel, torus_distance
 from .errors import ConstructionError, DomainError, RegimeError
 from .measure1d import GridDensity
 from .seidl import DiscretePlan, plan_cost, seidl_plan
@@ -64,9 +64,9 @@ class Mollifier:
         object.__setattr__(self, "dirichlet", float(np.sum(np.diff(v) ** 2 / h)))
 
     @classmethod
-    def bump(cls, table: int = TOL.mollifier_table) -> "Mollifier":
+    def bump(cls) -> "Mollifier":
         """Standard smooth bump exp(-1 / (1 - t^2)), normalized in L^2."""
-        t = np.linspace(-1.0, 1.0, table)
+        t = np.linspace(-1.0, 1.0, TOL.mollifier_table)
         with np.errstate(divide="ignore", over="ignore"):
             inner = np.where(np.abs(t) < 1.0, 1.0 - t * t, 1.0)
             v = np.where(np.abs(t) < 1.0, np.exp(-1.0 / inner), 0.0)
@@ -94,16 +94,27 @@ def _wrap(x):
     return np.mod(np.asarray(x, dtype=float) + np.pi, TWO_PI) - np.pi
 
 
+def _midpoints(k: int) -> np.ndarray:
+    """Nodes of the k-point composite midpoint rule on the torus."""
+    return (np.arange(k) + 0.5) * (TWO_PI / k)
+
+
+def _correlate(samples, offsets, kernel, dz):
+    """Circular midpoint correlation: dz * sum of kernel[i] * samples[z + offsets[i]]."""
+    out = np.zeros(samples.size)
+    for off, kv in zip(offsets, kernel):
+        if kv != 0.0:
+            out += kv * np.roll(samples, -off)
+    return out * dz
+
+
 # -- plan geometry ---------------------------------------------------------
 
 
 def support_separation(plan: DiscretePlan) -> float:
     """Minimum pairwise torus distance between coordinates of any atom."""
-    n = plan.n
-    i, j = np.triu_indices(n, k=1)
-    d = np.abs(plan.atoms[:, i] - plan.atoms[:, j])
-    d = np.mod(d, TWO_PI)
-    d = np.minimum(d, TWO_PI - d)
+    i, j = np.triu_indices(plan.n, k=1)
+    d = torus_distance(plan.atoms[:, i], plan.atoms[:, j])
     return float(np.min(d)) if d.size else np.inf
 
 
@@ -111,16 +122,14 @@ def support_separation(plan: DiscretePlan) -> float:
 
 
 class GammaEta:
-    """Mollified trial state for a separated plan, in the disjoint regime."""
+    """Mollified trial state for a separated plan, in the disjoint regime.
 
-    def __init__(
-        self,
-        plan: DiscretePlan,
-        rho: GridDensity,
-        chi: Mollifier,
-        eta: float,
-        quad_grid: int = TOL.quad_grid,
-    ):
+    On the TOL.quad_grid midpoint z-grid, every z with |x - z| < eta lies
+    within reach = ceil(eta / dz) steps of the node nearest x, so each bump
+    is evaluated only on `offsets` = -reach .. reach around that node.
+    """
+
+    def __init__(self, plan: DiscretePlan, rho: GridDensity, chi: Mollifier, eta: float):
         if np.min(rho.values) <= 0:
             raise DomainError("mollified states need a strictly positive density")
         alpha = support_separation(plan)
@@ -135,11 +144,13 @@ class GammaEta:
         self.alpha = float(alpha)
         self.n = plan.n
 
-        gz = quad_grid
-        self.dz = TWO_PI / gz
-        self.zgrid = (np.arange(gz) + 0.5) * self.dz
+        self.zgrid = _midpoints(TOL.quad_grid)
+        self.dz = TWO_PI / TOL.quad_grid
+        reach = int(np.ceil(self.eta / self.dz))
+        self.offsets = np.arange(-reach, reach + 1)
         # periodized squared bump against the density: (rho~ * chi_eta^2)(z)
-        self.den = self._smear(rho.density(self.zgrid))
+        kernel = chi.chi_sq(self.offsets * self.dz / self.eta) / self.eta
+        self.den = _correlate(rho.density(self.zgrid), -self.offsets, kernel, self.dz)
         if np.min(self.den) <= 0:
             raise ConstructionError("smeared density vanishes; eta too small for the grid")
         # unique coordinate values across all atoms, with (atom, slot) indices
@@ -149,23 +160,16 @@ class GammaEta:
         # column kernels PB(y - z) / den(z) for each unique coordinate
         self.columns = self._pb_outer(self.coords) / self.den[None, :]
 
-    # bump value helpers; chi_eta(x)^2 = chi(x / eta)^2 / eta
+    # PB(x) = chi_eta(x)^2 = chi(x / eta)^2 / eta
     def _pb_outer(self, pts):
-        """Matrix PB(p - z) over (points, zgrid)."""
-        diff = _wrap(pts[:, None] - self.zgrid[None, :]) / self.eta
-        return self.chi.chi_sq(diff) / self.eta
-
-    def _smear(self, samples):
-        """Circular midpoint convolution of grid samples with the squared bump."""
-        gz = samples.size
-        reach = int(np.ceil(self.eta / self.dz)) + 1
-        offsets = np.arange(-reach, reach + 1)
-        kernel = self.chi.chi_sq(offsets * self.dz / self.eta) / self.eta
-        out = np.zeros(gz)
-        for off, kv in zip(offsets, kernel):
-            if kv != 0.0:
-                out += kv * np.roll(samples, off)
-        return out * self.dz
+        """Matrix PB(p - z) over (points, zgrid), zero outside each point's window."""
+        gz = self.zgrid.size
+        cols = np.mod(np.rint(pts / self.dz - 0.5).astype(int)[:, None] + self.offsets, gz)
+        out = np.zeros((pts.size, gz))
+        rows = np.arange(pts.size)[:, None]
+        u = _wrap(pts[:, None] - self.zgrid[cols]) / self.eta
+        out[rows, cols] = self.chi.chi_sq(u) / self.eta
+        return out
 
     def b_matrix(self, xs) -> np.ndarray:
         """B(x, coord) for arbitrary positions x, over all unique coordinates."""
@@ -191,7 +195,7 @@ class GammaEta:
 
     def coordinate_masses(self, grid: int) -> np.ndarray:
         """q(coord) = integral of rho(x) B(x, coord) dx at the given resolution."""
-        xs = (np.arange(grid) + 0.5) * (TWO_PI / grid)
+        xs = _midpoints(grid)
         b = self.b_matrix(xs)
         return (self.rho.density(xs) * (TWO_PI / grid)) @ b
 
@@ -208,7 +212,7 @@ def marginal_identity_check(gamma: GammaEta, grid: int = 256) -> float:
     as the outer grid, matching the stated quadrature budget.
     """
     n = gamma.n
-    xs = (np.arange(grid) + 0.5) * (TWO_PI / grid)
+    xs = _midpoints(grid)
     b = gamma.b_matrix(xs)                    # (grid, coords)
     q = gamma.coordinate_masses(grid)         # (coords,)
     acc = np.zeros(grid)
@@ -263,22 +267,18 @@ def kinetic_energy(gamma: GammaEta) -> KineticReport:
     drho = rho._slopes[k]
     dsqrt_sq = drho**2 / (4.0 * rho_s)
 
-    reach = int(np.ceil(eta / dz)) + 1
-    offsets = np.arange(-reach, reach + 1)
+    offsets = gamma.offsets
     u = offsets * dz / eta
     k_sq = chi.chi_sq(u) / eta                         # chi_eta^2
     k_sq_prime = 2.0 * chi.chi(u) * chi.chi_prime(u) / eta**2   # (chi_eta^2)'
     k_d = chi.chi_prime(u) ** 2 / eta**3               # (chi_eta')^2
 
-    def correlate(samples, kernel):
-        out = np.zeros(samples.size)
-        for off, kv in zip(offsets, kernel):
-            if kv != 0.0:
-                out += kv * np.roll(samples, -off)
-        return out * dz
-
     # K(z) = int (dsqrt)^2 PB + (1/2) drho PB' + rho PD, shifted by z
-    kz = correlate(dsqrt_sq, k_sq) + 0.5 * correlate(drho, k_sq_prime) + correlate(rho_s, k_d)
+    kz = (
+        _correlate(dsqrt_sq, offsets, k_sq, dz)
+        + 0.5 * _correlate(drho, offsets, k_sq_prime, dz)
+        + _correlate(rho_s, offsets, k_d, dz)
+    )
     kq = (gamma.columns * kz[None, :]).sum(axis=1) * dz   # per-coordinate integral
     quadrature = float(
         np.dot(gamma.plan.weights, kq[gamma.coord_index].sum(axis=1))
@@ -287,17 +287,24 @@ def kinetic_energy(gamma: GammaEta) -> KineticReport:
     return KineticReport(float(exact), quadrature, float(rel))
 
 
-def interaction_energy(gamma: GammaEta, w: CostModel, grid: int = 1024) -> float:
-    """integral of c_n against the diagonal density, via pair-marginal sums.
-
-    The permutation sum collapses: every ordered coordinate pair of every
-    atom contributes one smeared pair energy E[a, b].
-    """
-    xs = (np.arange(grid) + 0.5) * (TWO_PI / grid)
-    pair = np.asarray(w.pair_matrix(xs), dtype=float)
+def midpoint_pair_matrix(w: CostModel) -> np.ndarray:
+    """The pair cost on the 1024-node midpoint grid of the interaction quadrature."""
+    pair = np.asarray(w.pair_matrix(_midpoints(1024)), dtype=float)
     if not np.all(np.isfinite(pair)):
         raise DomainError("interaction quadrature needs a bounded cost; truncate first")
-    d = (gamma.b_matrix(xs) * (gamma.rho.density(xs) * (TWO_PI / grid))[:, None])
+    return pair
+
+
+def interaction_energy(gamma: GammaEta, pair: np.ndarray) -> float:
+    """integral of c_n against the diagonal density, via pair-marginal sums.
+
+    `pair` is the cost on a k-node midpoint grid (`midpoint_pair_matrix`);
+    the quadrature runs on that grid, so one matrix serves every gamma of a
+    curve. The permutation sum collapses: every ordered coordinate pair of
+    every atom contributes one smeared pair energy E[a, b].
+    """
+    xs = _midpoints(pair.shape[0])
+    d = (gamma.b_matrix(xs) * (gamma.rho.density(xs) * (TWO_PI / xs.size))[:, None])
     e = d.T @ pair @ d
     n = gamma.n
     i, j = np.triu_indices(n, k=1)
@@ -352,7 +359,6 @@ class BoundCurve:
     reference: float      # transport cost of the base plan
     slope: float | None   # log-log slope of bound - reference vs eps
     eta_coefficient: float
-    notice: str | None
 
 
 def upper_bound_curve(
@@ -361,8 +367,6 @@ def upper_bound_curve(
     n: int,
     eps_list,
     m: int = 64,
-    chi: Mollifier | None = None,
-    interaction_grid: int = 1024,
 ) -> BoundCurve:
     """Trial-state upper bounds eps * kinetic + interaction along an eps list.
 
@@ -372,8 +376,7 @@ def upper_bound_curve(
     scale like sqrt(eps) and the curve approaches the plan cost at that
     rate from above.
     """
-    if chi is None:
-        chi = Mollifier.bump()
+    chi = Mollifier.bump()
     eps_arr = sorted((float(e) for e in eps_list), reverse=True)
     if not eps_arr or min(eps_arr) <= 0:
         raise DomainError("eps values must be positive")
@@ -381,23 +384,20 @@ def upper_bound_curve(
     reference = plan_cost(plan, w)
     alpha = support_separation(plan)
     cap = alpha / 8.0
+    pair = midpoint_pair_matrix(w)
 
     # probe the smearing error coefficient at the widest admissible width
     probe = GammaEta(plan, rho, chi, cap)
-    smear_gap = interaction_energy(probe, w, interaction_grid) - reference
+    smear_gap = interaction_energy(probe, pair) - reference
     a_coef = max(smear_gap / cap**2, 1e-12)
     c = min((n * chi.dirichlet / a_coef) ** 0.25, cap / max(eps_arr) ** 0.25)
 
     points = []
-    notice = None
     for eps in eps_arr:
         eta = min(cap, c * eps**0.25)
-        if not eta < alpha / 4:
-            notice = f"curve truncated at eps = {eps}: eta would leave the regime"
-            break
         gamma = GammaEta(plan, rho, chi, eta)
         kin = kinetic_energy(gamma).exact
-        inter = interaction_energy(gamma, w, interaction_grid)
+        inter = interaction_energy(gamma, pair)
         points.append(BoundPoint(eps, eta, kin, inter, eps * kin + inter))
 
     slope = None
@@ -405,4 +405,4 @@ def upper_bound_curve(
     if len(points) >= 2 and np.all(gaps > 0):
         coeffs = np.polyfit(np.log([p.eps for p in points]), np.log(gaps), 1)
         slope = float(coeffs[0])
-    return BoundCurve(tuple(points), float(reference), slope, float(c), notice)
+    return BoundCurve(tuple(points), float(reference), slope, float(c))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from ringmot.seidl import DiscretePlan, plan_cost, seidl_plan
 from ringmot.semiclassical import (
     GammaEta,
     Mollifier,
+    _wrap,
     interaction_energy,
     kinetic_energy,
     marginal_identity_check,
+    midpoint_pair_matrix,
     periodicity_defect,
     sqrt_density_dirichlet,
     support_separation,
@@ -102,6 +106,31 @@ class TestDiagonalDensity:
         assert np.max(np.abs(vals)) == 0.0
 
 
+class TestBumpWindow:
+    """PB evaluated on the bump's window equals the dense (points x z-grid) matrix."""
+
+    @staticmethod
+    def compare(g):
+        z = g.zgrid
+        nodes = z[[0, 1, 1000, 2047, z.size - 1]]
+        half = np.concatenate([nodes + g.dz / 2, nodes - g.dz / 2])
+        p = np.concatenate([[0.0, TWO_PI, -0.3, TWO_PI + 0.3], nodes, half])
+        dense = g.chi.chi_sq(_wrap(p[:, None] - z[None, :]) / g.eta) / g.eta
+        return np.array_equal(g._pb_outer(p), dense)
+
+    @pytest.mark.parametrize("share", [1 / 8, 0.249])
+    def test_matches_dense(self, uniform, cosine08, chi, share):
+        for rho in (uniform, cosine08):
+            plan = seidl_plan(rho, 2, 64)
+            assert self.compare(GammaEta(plan, rho, chi, share * support_separation(plan)))
+
+    def test_narrower_window_fails(self, uniform, chi):
+        plan = seidl_plan(uniform, 2, 64)
+        g = GammaEta(plan, uniform, chi, support_separation(plan) / 8)
+        g.offsets = g.offsets[1:-1]
+        assert not self.compare(g)
+
+
 class TestMarginalIdentity:
     def test_uniform(self, uniform, chi):
         plan = seidl_plan(uniform, 2, 64)
@@ -167,7 +196,7 @@ class TestUpperBound:
         plan = seidl_plan(uniform, 2, 16)
         g = GammaEta(plan, uniform, chi, 0.3)
         kin = kinetic_energy(g).exact
-        inter = interaction_energy(g, truncated_ring)
+        inter = interaction_energy(g, midpoint_pair_matrix(truncated_ring))
         eps = 0.01
         assert (2 * eps * kin + inter) - (eps * kin + inter) == pytest.approx(eps * kin)
 
@@ -177,7 +206,7 @@ class TestUpperBound:
         gaps = []
         for eta in (0.2, 0.1, 0.05):
             g = GammaEta(plan, uniform, chi, eta)
-            gaps.append(interaction_energy(g, truncated_ring) - ref)
+            gaps.append(interaction_energy(g, midpoint_pair_matrix(truncated_ring)) - ref)
         assert gaps[0] > gaps[1] > gaps[2] > 0
         order = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(gaps), 1)[0]
         assert 1.5 <= order <= 2.5
@@ -189,8 +218,45 @@ class TestUpperBound:
         assert all(p.bound >= curve.reference for p in curve.points)
         assert 0.4 <= curve.slope <= 0.6
 
-    def test_unbounded_cost_rejected(self, uniform, chi, ring_inverse):
-        plan = seidl_plan(uniform, 2, 16)
-        g = GammaEta(plan, uniform, chi, 0.3)
+    def test_cost_matrix_built_once_per_curve(self, uniform, truncated_ring):
+        full = []
+
+        def raw(x, y):
+            w = truncated_ring.raw(x, y)
+            if np.shape(w) == (1024, 1024):
+                full.append(1)
+            return w
+
+        counting = dataclasses.replace(truncated_ring, raw=raw)
+        upper_bound_curve(uniform, counting, 2, [1e-1, 1e-2, 1e-3, 1e-4], m=16)
+        assert len(full) == 1
+
+    # (kinetic, interaction, bound) per eps = 1e-1 .. 1e-4 at n=2, m=64 on the
+    # ring-inverse cost truncated as in acceptance criterion 8
+    PINNED = {
+        "uniform": (np.pi / 4, [
+            (39.913791551524405, 1.0090516482915408, 5.000430803443981),
+            (126.21849135600303, 1.0028208957877331, 2.2650058093477634),
+            (399.13791551524406, 1.0008880003157685, 1.4000259158310127),
+            (1262.18491356003, 1.0002803741569648, 1.1264988655129677),
+        ]),
+        "cosine08": (np.pi / 8, [
+            (114.09008042956552, 1.1732524672198048, 12.582260510176358),
+            (360.35206053062524, 1.167382154534516, 4.7709027598407685),
+            (1139.1008187530365, 1.1655513640193789, 2.3046521827724153),
+            (3601.720619763634, 1.1649749205672992, 1.5251469825436628),
+        ]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_curve_pinned(self, name, request, ring_inverse):
+        rho = request.getfixturevalue(name)
+        radius, pinned = self.PINNED[name]
+        w_h = truncate(ring_inverse, support_thresholds(rho, ring_inverse, radius, 2).h)
+        curve = upper_bound_curve(rho, w_h, 2, [1e-1, 1e-2, 1e-3, 1e-4], m=64)
+        got = [(p.kinetic, p.interaction, p.bound) for p in curve.points]
+        assert np.allclose(got, pinned, rtol=1e-12, atol=0.0)
+
+    def test_unbounded_cost_rejected(self, ring_inverse):
         with pytest.raises(DomainError):
-            interaction_energy(g, ring_inverse)
+            midpoint_pair_matrix(ring_inverse)
