@@ -6,6 +6,16 @@ Cells with infinite cost are removed from the variable set instead of
 big-M'd so the duals stay clean. One redundant marginal constraint per
 extra marginal is dropped to keep the rows full rank, and rows are scaled
 to unit norm before solving; stated tolerances apply after scaling.
+
+The simplex starts at the staircase basis: a multi-index north-west-corner
+rule on the n marginals, marginal i rotated by floor(i m / n), gives
+m + (n-1)(m-1) cells, one per row, with non-negative masses (Bein, Brucker,
+Park and Pathak 1995). For uniform weights and n dividing m these are the
+m cells of the cyclic monotone (Seidl) plan at mass 1/m plus zero-mass
+steps between them, so phase 1 is skipped. When a staircase cell has
+infinite cost (m < 2n puts two marginals on one atom) the solve starts
+from the artificial basis instead. The start is not part of the
+certificate: phase 2 prices every cell, and the residual check still runs.
 """
 
 from __future__ import annotations
@@ -55,7 +65,9 @@ def quantize(rho: GridDensity, m: int) -> DiscreteMarginal:
 
 
 # LPResult fields that LPSolution carries over as solver telemetry
-SIMPLEX_COUNTERS = ("iterations", "phase1_pivots", "degenerate_pivots", "bland_pivots")
+_LP_COUNTERS = ("iterations", "phase1_pivots", "degenerate_pivots", "lex_ties")
+# LPSolution fields written to manifest.json stages.simplex
+SIMPLEX_COUNTERS = _LP_COUNTERS + ("start",)
 
 
 @dataclass(frozen=True)
@@ -71,7 +83,8 @@ class LPSolution:
     iterations: int                  # simplex pricing passes, both phases
     phase1_pivots: int = 0           # of those, passes in phase 1
     degenerate_pivots: int = 0       # pivots without objective drop beyond TOL.lp_pivot_tol
-    bland_pivots: int = 0            # entering columns chosen under Bland's rule
+    lex_ties: int = 0                # pivots whose leaving row the lexicographic rule chose
+    start: str = "artificial"        # staircase | artificial: the simplex's first basis
     _cell_digits: np.ndarray | None = field(default=None, repr=False)
     _cell_costs: np.ndarray | None = field(default=None, repr=False)
     _cell_mass: np.ndarray | None = field(default=None, repr=False)
@@ -121,9 +134,37 @@ def _cell_costs(marginal: DiscreteMarginal, n: int, w: CostModel):
     return digits, costs
 
 
+def staircase(marginal: DiscreteMarginal, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (m + (n-1)(m-1), n) and masses of the north-west-corner staircase.
+
+    Marginal i is walked from atom floor(i m / n) around the ring. Each
+    step puts the smallest residual mass on the current cell, then moves
+    on one marginal whose residual that exhausted: the lowest-index one
+    not yet at its last atom. Every step after the first reaches a new
+    atom, so the cells' columns are independent and form a basis.
+    """
+    m, w = marginal.m, marginal.weights
+    shift = np.arange(n) * m // n
+    step = np.zeros(n, dtype=np.intp)
+    residual = w[shift]
+    cells, mass = [], []
+    while True:
+        cells.append((step + shift) % m)
+        mass.append(residual.min())
+        residual = residual - mass[-1]
+        open_ = step < m - 1
+        if not open_.any():
+            return np.array(cells), np.array(mass)
+        i = int(np.argmin(np.where(open_, residual, np.inf)))
+        step[i] += 1
+        residual[i] = w[(step[i] + shift[i]) % m]
+
+
 def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     """Exact LP over the m^n joint tensor with marginal equality constraints.
 
+    The simplex starts at the staircase basis when all its cells have
+    finite cost, and at the artificial basis otherwise (``sol.start``).
     An optimal solution is returned only if its certificate residuals
     (``LPSolution.verify``) are within their ``TOL`` bounds; otherwise
     StateError names the residual and the bound.
@@ -138,8 +179,12 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     finite = np.isfinite(costs)
     if not finite.any():
         return LPSolution("infeasible", np.inf, None, None, marginal, n, 0)
+    columns = np.flatnonzero(finite)  # flat cell index of each LP column, ascending
     digits = digits[finite]
     costs = costs[finite]
+    flat = np.ravel_multi_index(staircase(marginal, n)[0].T, (m,) * n)
+    at = np.minimum(np.searchsorted(columns, flat), columns.size - 1)
+    start = at if np.array_equal(columns[at], flat) else None
 
     # rows: all m constraints of marginal 0, first m-1 of marginals 1..n-1
     def row_id(i, j):
@@ -157,8 +202,9 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     scale = 1.0 / np.sqrt(np.maximum(counts, 1))
     col_coeffs = np.where(col_rows >= 0, scale[np.maximum(col_rows, 0)], 0.0)
 
-    res = solve_equality_lp(col_rows, col_coeffs, costs, b * scale)
-    counters = {key: getattr(res, key) for key in SIMPLEX_COUNTERS}
+    res = solve_equality_lp(col_rows, col_coeffs, costs, b * scale, start=start)
+    counters = {key: getattr(res, key) for key in _LP_COUNTERS}
+    counters["start"] = "artificial" if start is None else "staircase"
     if res.status != "optimal":
         return LPSolution(res.status, np.inf, None, None, marginal, n, **counters)
 

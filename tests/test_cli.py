@@ -101,9 +101,9 @@ class TestArtifacts:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["inputs"]) == {specs["density"], specs["cost"]}
         simplex = manifest["stages"]["simplex"]
-        assert set(simplex) == {"iterations", "phase1_pivots", "degenerate_pivots", "bland_pivots"}
+        assert set(simplex) == {"iterations", "phase1_pivots", "degenerate_pivots", "lex_ties", "start"}
         assert simplex["iterations"] == result["iterations"]
-        assert 0 < simplex["phase1_pivots"] < simplex["iterations"]
+        assert (simplex["start"], simplex["phase1_pivots"]) == ("staircase", 0)
         assert "stages" not in result
 
     def test_kantorovich_certificate(self, specs, tmp_path):

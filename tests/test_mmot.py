@@ -18,7 +18,7 @@ from ringmot.costs import (
 )
 from ringmot.errors import DomainError, SizeGuardError, StateError
 from ringmot.measure1d import GridDensity
-from ringmot.mmot import DiscreteMarginal, quantize, solve_mmot, symmetrized_duals
+from ringmot.mmot import DiscreteMarginal, quantize, solve_mmot, staircase, symmetrized_duals
 from ringmot.seidl import plan_cost, seidl_plan
 from ringmot.simplex import solve_equality_lp
 
@@ -52,14 +52,19 @@ class TestSolveByHand:
         marg = DiscreteMarginal(np.array([0.0, np.pi]), np.array([0.5, 0.5]))
         sol = solve_mmot(marg, 2, ring_inverse)
         assert sol.status == "optimal"
+        # a staircase cell lies on the infinite diagonal, so phase 1 runs
+        assert sol.start == "artificial"
         # diagonal cells are +inf, so half the mass sits on each off-diagonal cell
         assert sol.value == pytest.approx(1.0, abs=1e-12)
         assert sorted(map(tuple, sol.plan.atoms.tolist())) == [
             (0.0, np.pi),
             (np.pi, 0.0),
         ]
+        # any optimal dual vertex: feasible on every finite pair, tight in value
         v = symmetrized_duals(sol)
-        assert np.allclose(v, 0.5, atol=1e-12)
+        pair = ring_inverse.pair_matrix(marg.atoms)
+        finite = np.isfinite(pair)
+        assert np.all(2.0 * pair[finite] - (v[:, None] + v[None, :])[finite] >= -1e-12)
         assert 2 * np.dot(marg.weights, v) == pytest.approx(sol.value, abs=1e-12)
 
     def test_constant_shift_breaks_normalization(self, ring_inverse):
@@ -194,7 +199,9 @@ class TestOracleEquivalence:
         )
         sol = solve_mmot(quantize(uniform, 4), 2, w)
         seidl_cost = plan_cost(seidl_plan(uniform, 2, 4), w)
-        # staying put is free for an attractive cost; the half-turn plan is not
+        # staying put is free for an attractive cost; the half-turn plan is
+        # not, so the simplex must leave the staircase it starts from
+        assert sol.start == "staircase"
         assert sol.value == pytest.approx(0.0, abs=1e-10)
         assert seidl_cost - sol.value >= 1e-3
 
@@ -293,14 +300,119 @@ class TestEqualityLP:
         assert res.objective == pytest.approx(ref.fun, abs=1e-9)
 
 
+class TestStartGuard:
+    """A given start is checked before any pivot, and each fault names itself."""
+
+    @staticmethod
+    def _lp():
+        # columns e0, e1, e0 + e1 (twice), e0 - e1; b = (1, 1)
+        rows = np.array([[0, -1], [1, -1], [0, 1], [0, 1], [0, 1]])
+        coeffs = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        return rows, coeffs, np.ones(5), np.ones(2)
+
+    def test_feasible_start_skips_phase1(self):
+        res = solve_equality_lp(*self._lp(), start=[0, 1])
+        assert res.status == "optimal"
+        assert res.phase1_pivots == 0
+        assert res.objective == pytest.approx(1.0, abs=1e-12)
+
+    def test_wrong_length(self):
+        with pytest.raises(ValueError, match=r"start has shape \(3,\), expected \(2,\)"):
+            solve_equality_lp(*self._lp(), start=[0, 1, 2])
+
+    def test_repeated_column(self):
+        with pytest.raises(ValueError, match="start repeats column 1"):
+            solve_equality_lp(*self._lp(), start=[1, 1])
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_column_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=rf"start column {bad} is not in \[0, 5\)"):
+            solve_equality_lp(*self._lp(), start=[0, bad])
+
+    def test_singular_basis(self):
+        with pytest.raises(ValueError, match=r"\(2 x 2\) is singular"):
+            solve_equality_lp(*self._lp(), start=[2, 3])
+
+    def test_negative_basic_solution(self):
+        # x0 e0 + x4 (e0 - e1) = (1, 1) needs x4 = -1
+        with pytest.raises(ValueError, match=r"x_B = -1\.000e\+00 at column 4"):
+            solve_equality_lp(*self._lp(), start=[0, 4])
+
+
+class TestStartSoundness:
+    def test_beale_cycling_lp(self):
+        # Beale (1955) in equality form at its slack basis x1, x2, x3: every
+        # pivot ties in the ratio test at zero, and lowest-index tie-breaks
+        # cycle. The optimum is x4 = x6 = 1, x1 = 3/4 at -5/4.
+        A = np.array([
+            [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+            [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+        ])
+        c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+        rows = np.where(A.T != 0, np.arange(3), -1)
+        res = solve_equality_lp(rows, A.T.copy(), c, np.array([0.0, 0.0, 1.0]), start=[0, 1, 2])
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(-1.25, abs=1e-12)
+        assert np.allclose(res.x, [0.75, 0, 0, 1, 0, 1, 0], atol=1e-12)
+        assert res.lex_ties >= 1
+
+    @pytest.mark.parametrize("n,m", [(2, 8), (2, 7), (3, 9), (3, 7), (4, 8), (4, 10)])
+    def test_staircase_is_a_basis(self, n, m):
+        marg = quantize(GridDensity.random_positive(0), m)
+        cells, mass = staircase(marg, n)
+        assert cells.shape == (m + (n - 1) * (m - 1), n)
+        assert np.min(mass) >= 0.0
+        assert np.unique(np.ravel_multi_index(cells.T, (m,) * n)).size == cells.shape[0]
+        # marginal incidence of the cells, all n*m rows: full column rank
+        A = np.zeros((n * m, cells.shape[0]))
+        for i in range(n):
+            A[i * m + cells[:, i], np.arange(cells.shape[0])] = 1.0
+        assert np.linalg.matrix_rank(A) == cells.shape[0]
+        assert np.allclose(A @ mass, np.tile(marg.weights, n), atol=1e-15)
+
+    @pytest.mark.parametrize("n,m", [(2, 8), (3, 12), (4, 8), (4, 12)])
+    def test_seidl_cells_carry_the_mass(self, uniform, n, m):
+        cells, mass = staircase(quantize(uniform, m), n)
+        seidl = (np.arange(m)[:, None] + np.arange(n) * (m // n)) % m
+        on = mass > 0
+        assert sorted(map(tuple, cells[on].tolist())) == sorted(map(tuple, seidl.tolist()))
+        assert np.allclose(mass[on], 1.0 / m, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cells_finite_from_m_2n(self, uniform, ring_inverse, n):
+        for m in range(2 * n, 2 * n + 6):
+            marg = quantize(uniform, m)
+            cells, _ = staircase(marg, n)
+            pair = ring_inverse.pair_matrix(marg.atoms)
+            cost = sum(pair[cells[:, i], cells[:, j]] for i in range(n) for j in range(i + 1, n))
+            assert np.all(np.isfinite(cost)), m
+        assert solve_mmot(quantize(uniform, 2 * n - 1), n, ring_inverse).start == "artificial"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n,m,cost", [(2, 16, "ring_inverse"), (3, 12, "ring_exp2"),
+                                          (4, 8, "ring_inverse"), (4, 10, "ring_exp2")])
+    def test_warm_matches_cold(self, monkeypatch, request, seed, n, m, cost):
+        w = request.getfixturevalue(cost)
+        marg = quantize(GridDensity.random_positive(seed), m)
+        warm = solve_mmot(marg, n, w)
+        exact = ringmot.mmot.solve_equality_lp
+        monkeypatch.setattr(ringmot.mmot, "solve_equality_lp",
+                            lambda *args, start=None: exact(*args))
+        cold = solve_mmot(marg, n, w)
+        assert (warm.start, warm.phase1_pivots) == ("staircase", 0)
+        assert cold.phase1_pivots > 0
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+
+
 class TestPivotSequence:
-    """Pivot counts of two small fixed LPs. Counts swing widely under small
-    input changes, so any change to pricing, the Bland switch or the ratio
-    test shows up here before it shows up in the CLI bytes."""
+    """Pivot counts of small fixed LPs. Counts swing widely under small
+    input changes, so any change to the start, pricing or the ratio test
+    shows up here before it shows up in the CLI bytes."""
 
     @pytest.mark.parametrize(
         "n,m,cost,pivots",
-        [(2, 16, "ring_inverse", 189), (3, 12, "ring_exp2", 494), (4, 8, "ring_inverse", 449)],
+        [(2, 16, "ring_inverse", 8), (3, 12, "ring_exp2", 21), (4, 8, "ring_inverse", 38)],
     )
     def test_iterations_pinned(self, request, cosine, n, m, cost, pivots):
         sol = solve_mmot(quantize(cosine, m), n, request.getfixturevalue(cost))
@@ -308,25 +420,27 @@ class TestPivotSequence:
         assert sol.iterations == pivots
 
     @pytest.mark.parametrize(
-        "n,m,cost,phase1,degenerate,bland",
+        "n,m,cost,degenerate,lex_ties",
         [
-            (2, 16, "ring_inverse", 143, 159, 0),
-            (3, 12, "ring_exp2", 175, 350, 186),   # reaches Bland's rule
-            (4, 8, "ring_inverse", 170, 349, 147),
+            # from the optimal Seidl start every pivot is degenerate and tied
+            (2, 16, "ring_inverse", 7, 7),
+            (3, 12, "ring_exp2", 20, 20),
+            (4, 8, "ring_inverse", 37, 37),
         ],
     )
-    def test_counters_pinned(self, request, cosine, n, m, cost, phase1, degenerate, bland):
+    def test_counters_pinned(self, request, cosine, n, m, cost, degenerate, lex_ties):
         sol = solve_mmot(quantize(cosine, m), n, request.getfixturevalue(cost))
-        assert (sol.phase1_pivots, sol.degenerate_pivots, sol.bland_pivots) == (
-            phase1, degenerate, bland
+        assert (sol.start, sol.phase1_pivots, sol.degenerate_pivots, sol.lex_ties) == (
+            "staircase", 0, degenerate, lex_ties
         )
 
-    @pytest.mark.parametrize("max_pivots,phase1", [(3, 4), (143, 143)])
-    def test_guard_stop_is_not_infeasible(self, monkeypatch, cosine, ring_inverse, max_pivots, phase1):
-        # the guard trips in phase 1 (3) or on the first phase-2 pass (143);
-        # a transport LP is feasible, so neither stop may read as infeasible
+    @pytest.mark.parametrize("max_pivots,phase1", [(3, 4), (46, 46)])
+    def test_guard_stop_is_not_infeasible(self, monkeypatch, max_pivots, phase1):
+        # from the artificial start the guard trips in phase 1 (3) or on the
+        # first phase-2 pass (46); a transport LP is feasible, so neither
+        # stop may read as infeasible
         monkeypatch.setattr(ringmot.simplex, "MAX_PIVOTS", max_pivots)
-        sol = solve_mmot(quantize(cosine, 16), 2, ring_inverse)
-        assert sol.status == "unbounded-guard"
-        assert sol.phase1_pivots == phase1
-        assert sol.iterations == max_pivots + 1
+        res = solve_equality_lp(*_transport_lp(np.random.default_rng(0), 2, 8))
+        assert res.status == "unbounded-guard"
+        assert res.phase1_pivots == phase1
+        assert res.iterations == max_pivots + 1
