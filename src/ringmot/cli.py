@@ -192,7 +192,10 @@ def cmd_semiclassical(args) -> int:
             "eta_coefficient": curve.eta_coefficient,
         },
     )
-    _manifest(out, "semiclassical", vars(args), [args.density, args.cost], started)
+    _manifest(
+        out, "semiclassical", vars(args), [args.density, args.cost], started,
+        {"semiclassical": curve.stage()},
+    )
     return 0
 
 

@@ -121,12 +121,20 @@ def support_separation(plan: DiscretePlan) -> float:
 # -- the smeared state -----------------------------------------------------
 
 
+# z-nodes per tile: b_matrix contracts each tile's points on the tile's
+# nodes plus reach nodes either side, not on the whole z-grid
+TILE = 256
+
+
 class GammaEta:
     """Mollified trial state for a separated plan, in the disjoint regime.
 
     On the TOL.quad_grid midpoint z-grid, every z with |x - z| < eta lies
     within reach = ceil(eta / dz) steps of the node nearest x, so each bump
-    is evaluated only on `offsets` = -reach .. reach around that node.
+    is evaluated only on `offsets` = -reach .. reach around that node. A
+    point whose nearest node lies in the TILE-node tile t therefore touches
+    only the z-range of TILE + 2 * reach nodes starting at t * TILE - reach,
+    which must not wrap onto itself around the torus.
     """
 
     def __init__(self, plan: DiscretePlan, rho: GridDensity, chi: Mollifier, eta: float):
@@ -146,8 +154,13 @@ class GammaEta:
 
         self.zgrid = _midpoints(TOL.quad_grid)
         self.dz = TWO_PI / TOL.quad_grid
-        reach = int(np.ceil(self.eta / self.dz))
-        self.offsets = np.arange(-reach, reach + 1)
+        self.reach = int(np.ceil(self.eta / self.dz))
+        if TILE + 2 * self.reach + 1 > TOL.quad_grid:
+            raise ConstructionError(
+                f"tile z-range {TILE} + 2 * reach + 1 = {TILE + 2 * self.reach + 1} nodes "
+                f"exceeds quad_grid = {TOL.quad_grid} (eta = {self.eta}, reach = {self.reach})"
+            )
+        self.offsets = np.arange(-self.reach, self.reach + 1)
         # periodized squared bump against the density: (rho~ * chi_eta^2)(z)
         kernel = chi.chi_sq(self.offsets * self.dz / self.eta) / self.eta
         self.den = _correlate(rho.density(self.zgrid), -self.offsets, kernel, self.dz)
@@ -161,20 +174,40 @@ class GammaEta:
         self.columns = self._pb_outer(self.coords) / self.den[None, :]
 
     # PB(x) = chi_eta(x)^2 = chi(x / eta)^2 / eta
-    def _pb_outer(self, pts):
-        """Matrix PB(p - z) over (points, zgrid), zero outside each point's window."""
+    def _pb_outer(self, pts, start=0, width=None):
+        """Matrix PB(p - z) over (points, z-nodes start .. start + width - 1 mod grid).
+
+        Zero outside each point's window; the default range is the whole
+        z-grid. Every window must lie inside the range.
+        """
         gz = self.zgrid.size
-        cols = np.mod(np.rint(pts / self.dz - 0.5).astype(int)[:, None] + self.offsets, gz)
-        out = np.zeros((pts.size, gz))
+        nodes = np.mod(np.rint(pts / self.dz - 0.5).astype(int)[:, None] + self.offsets, gz)
+        out = np.zeros((pts.size, gz if width is None else width))
         rows = np.arange(pts.size)[:, None]
-        u = _wrap(pts[:, None] - self.zgrid[cols]) / self.eta
-        out[rows, cols] = self.chi.chi_sq(u) / self.eta
+        u = _wrap(pts[:, None] - self.zgrid[nodes]) / self.eta
+        out[rows, np.mod(nodes - start, gz)] = self.chi.chi_sq(u) / self.eta
         return out
 
     def b_matrix(self, xs) -> np.ndarray:
-        """B(x, coord) for arbitrary positions x, over all unique coordinates."""
-        pbx = self._pb_outer(np.asarray(xs, dtype=float))
-        return (pbx * self.dz) @ self.columns.T
+        """B(x, coord) for arbitrary positions x, over all unique coordinates.
+
+        B(x, c) = dz * sum over z of PB(x - z) PB(c - z) / den(z). The points
+        are bucketed by the z-tile of their nearest node, and each bucket's PB
+        block, built on the tile's z-range only, is contracted with the
+        `columns` of that range: the nodes no bump of the bucket reaches are
+        never summed.
+        """
+        xs = np.asarray(xs, dtype=float)
+        gz = self.zgrid.size
+        width = TILE + 2 * self.reach
+        tiles = np.mod(np.rint(xs / self.dz - 0.5).astype(int), gz) // TILE
+        out = np.zeros((xs.size, self.coords.size))
+        for t in np.unique(tiles):
+            rows = np.flatnonzero(tiles == t)
+            start = t * TILE - self.reach
+            block = self._pb_outer(xs[rows], start, width) * self.dz
+            out[rows] = block @ self.columns[:, np.mod(np.arange(start, start + width), gz)].T
+        return out
 
     def density_at(self, tuples) -> np.ndarray:
         """Diagonal n-particle density at the given coordinate tuples."""
@@ -213,8 +246,9 @@ def marginal_identity_check(gamma: GammaEta, grid: int = 256) -> float:
     """
     n = gamma.n
     xs = _midpoints(grid)
+    r = gamma.rho.density(xs)
     b = gamma.b_matrix(xs)                    # (grid, coords)
-    q = gamma.coordinate_masses(grid)         # (coords,)
+    q = (r * (TWO_PI / grid)) @ b             # coordinate_masses(grid)
     acc = np.zeros(grid)
     for sigma in permutations(range(n)):
         first = gamma.coord_index[:, sigma[0]]
@@ -222,8 +256,8 @@ def marginal_identity_check(gamma: GammaEta, grid: int = 256) -> float:
         for i in range(1, n):
             rest *= q[gamma.coord_index[:, sigma[i]]]
         acc += b[:, first] @ (gamma.plan.weights * rest)
-    density = n * gamma.rho.density(xs) * acc / factorial(n)
-    return float(np.max(np.abs(density - n * gamma.rho.density(xs))))
+    density = n * r * acc / factorial(n)
+    return float(np.max(np.abs(density - n * r)))
 
 
 def sqrt_density_dirichlet(rho: GridDensity) -> float:
@@ -250,13 +284,18 @@ class KineticReport:
     relative_mismatch: float
 
 
+def closed_form_kinetic(n: int, rho: GridDensity, chi: Mollifier, eta: float) -> float:
+    """n (dirichlet(sqrt rho) + dirichlet(chi) / eta^2): the smeared state's kinetic energy."""
+    return n * (sqrt_density_dirichlet(rho) + chi.dirichlet / eta**2)
+
+
 def kinetic_energy(gamma: GammaEta) -> KineticReport:
     """Both sides of the kinetic identity for the smeared state."""
     n = gamma.n
     eta = gamma.eta
     chi = gamma.chi
     rho = gamma.rho
-    exact = n * (sqrt_density_dirichlet(rho) + chi.dirichlet / eta**2)
+    exact = closed_form_kinetic(n, rho, chi, eta)
 
     # direct quadrature: K(z) = integral |d(sqrt(rho) chi_eta(. - z))|^2 dx,
     # assembled from three circular correlations on the z-grid
@@ -287,9 +326,12 @@ def kinetic_energy(gamma: GammaEta) -> KineticReport:
     return KineticReport(float(exact), quadrature, float(rel))
 
 
+PAIR_GRID = 1024   # nodes of the interaction quadrature's midpoint grid
+
+
 def midpoint_pair_matrix(w: CostModel) -> np.ndarray:
-    """The pair cost on the 1024-node midpoint grid of the interaction quadrature."""
-    pair = np.asarray(w.pair_matrix(_midpoints(1024)), dtype=float)
+    """The pair cost on the PAIR_GRID-node midpoint grid of the interaction quadrature."""
+    pair = np.asarray(w.pair_matrix(_midpoints(PAIR_GRID)), dtype=float)
     if not np.all(np.isfinite(pair)):
         raise DomainError("interaction quadrature needs a bounded cost; truncate first")
     return pair
@@ -348,6 +390,7 @@ def periodicity_defect(gamma: GammaEta, num_samples: int = 16) -> float:
 class BoundPoint:
     eps: float
     eta: float
+    reach: int            # z-grid steps of the bump's half-width at this eta
     kinetic: float
     interaction: float
     bound: float
@@ -359,6 +402,35 @@ class BoundCurve:
     reference: float      # transport cost of the base plan
     slope: float | None   # log-log slope of bound - reference vs eps
     eta_coefficient: float
+    alpha: float          # support separation of the base plan
+    cap: float            # the widest width used, alpha / 8
+    states: int           # GammaEta states built: one per distinct eta
+
+    def stage(self) -> dict:
+        """Deterministic telemetry of the curve, for the manifest's `stages`."""
+        return {
+            "alpha": self.alpha,
+            "cap": self.cap,
+            "rows": [{"eps": p.eps, "eta": p.eta, "reach": p.reach} for p in self.points],
+            "states": self.states,
+            "quad_grid": TOL.quad_grid,
+            "pair_grid": PAIR_GRID,
+        }
+
+
+def _checked_eps(eps_list) -> list:
+    """The eps values, largest first; each must be finite, positive and distinct."""
+    eps = [float(e) for e in eps_list]
+    if not eps:
+        raise DomainError("eps list is empty")
+    for e in eps:
+        if not (np.isfinite(e) and e > 0):
+            raise DomainError(f"eps = {e} must be finite and positive")
+    eps.sort(reverse=True)
+    for hi, lo in zip(eps, eps[1:]):
+        if hi == lo:
+            raise DomainError(f"eps = {lo} is repeated; the values must be distinct")
+    return eps
 
 
 def upper_bound_curve(
@@ -374,35 +446,42 @@ def upper_bound_curve(
     balancing the smearing cost error (growing like eta^2) against the
     kinetic price (eps / eta^2) at the largest eps, so both error terms
     scale like sqrt(eps) and the curve approaches the plan cost at that
-    rate from above.
+    rate from above. One state is built and priced per distinct eta: the
+    probe at alpha / 8 serves every row capped there. The kinetic column is
+    the closed form, which needs no state.
     """
     chi = Mollifier.bump()
-    eps_arr = sorted((float(e) for e in eps_list), reverse=True)
-    if not eps_arr or min(eps_arr) <= 0:
-        raise DomainError("eps values must be positive")
+    eps_arr = _checked_eps(eps_list)
     plan = seidl_plan(rho, n, m)
     reference = plan_cost(plan, w)
     alpha = support_separation(plan)
     cap = alpha / 8.0
     pair = midpoint_pair_matrix(w)
+    priced = {}   # eta -> (reach, interaction)
+
+    def price(eta):
+        if eta not in priced:
+            gamma = GammaEta(plan, rho, chi, eta)
+            priced[eta] = (gamma.reach, interaction_energy(gamma, pair))
+        return priced[eta]
 
     # probe the smearing error coefficient at the widest admissible width
-    probe = GammaEta(plan, rho, chi, cap)
-    smear_gap = interaction_energy(probe, pair) - reference
+    smear_gap = price(cap)[1] - reference
     a_coef = max(smear_gap / cap**2, 1e-12)
     c = min((n * chi.dirichlet / a_coef) ** 0.25, cap / max(eps_arr) ** 0.25)
 
     points = []
     for eps in eps_arr:
         eta = min(cap, c * eps**0.25)
-        gamma = GammaEta(plan, rho, chi, eta)
-        kin = kinetic_energy(gamma).exact
-        inter = interaction_energy(gamma, pair)
-        points.append(BoundPoint(eps, eta, kin, inter, eps * kin + inter))
+        reach, inter = price(eta)
+        kin = closed_form_kinetic(n, rho, chi, eta)
+        points.append(BoundPoint(eps, eta, reach, kin, inter, eps * kin + inter))
 
     slope = None
     gaps = np.array([p.bound - reference for p in points])
     if len(points) >= 2 and np.all(gaps > 0):
         coeffs = np.polyfit(np.log([p.eps for p in points]), np.log(gaps), 1)
         slope = float(coeffs[0])
-    return BoundCurve(tuple(points), float(reference), slope, float(c))
+    return BoundCurve(
+        tuple(points), float(reference), slope, float(c), float(alpha), float(cap), len(priced)
+    )

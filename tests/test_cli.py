@@ -124,6 +124,25 @@ class TestArtifacts:
         rows = (out / "curve.csv").read_text().strip().splitlines()
         assert rows[0] == "eps,eta,kinetic,interaction,bound"
         assert len(rows) == 3
+        stage = json.loads((out / "manifest.json").read_text())["stages"]["semiclassical"]
+        assert set(stage) == {"alpha", "cap", "rows", "states", "quad_grid", "pair_grid"}
+        assert stage["cap"] == stage["alpha"] / 8
+        assert [r["eps"] for r in stage["rows"]] == [0.1, 0.01]
+        assert all(r["reach"] == int(np.ceil(r["eta"] * 4096 / (2 * np.pi))) for r in stage["rows"])
+        assert (stage["quad_grid"], stage["pair_grid"]) == (4096, 1024)
+        assert stage["states"] == len({r["eta"] for r in stage["rows"]} | {stage["cap"]})
+
+    @pytest.mark.parametrize(
+        "eps, named", [("1e-1,nan", "nan"), ("1e-1,inf", "inf"), ("1e-1,1e-1", "0.1")],
+        ids=["nan", "inf", "duplicate"],
+    )
+    def test_semiclassical_bad_eps(self, specs, tmp_path, capsys, eps, named):
+        out = tmp_path / "semi"
+        code = run(["semiclassical", "--density", specs["density"], "--cost", specs["cost"],
+                    "--n", "2", "--eps", eps, "--m", "16", "--out", str(out)])
+        assert code == 2
+        assert f"eps = {named}" in capsys.readouterr().err
+        assert not (out / "curve.csv").exists()
 
 
 class TestDeterminism:
@@ -143,6 +162,11 @@ class TestDeterminism:
             ),
             ["semiclassical", "--density", "{density}", "--cost", "{cost}",
              "--n", "2", "--eps", "1e-1,1e-2", "--m", "8"],
+            pytest.param(
+                ["semiclassical", "--density", "{density}", "--cost", "{cost}",
+                 "--n", "3", "--eps", "1e-1,1e-2", "--m", "9"],
+                id="semiclassical-n3",
+            ),
         ],
         ids=lambda c: c[0],
     )

@@ -3,11 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ringmot import semiclassical
+from ringmot.config import TOL
 from ringmot.costs import support_thresholds, truncate
-from ringmot.errors import DomainError, RegimeError
+from ringmot.errors import ConstructionError, DomainError, RegimeError
 from ringmot.measure1d import GridDensity
 from ringmot.seidl import DiscretePlan, plan_cost, seidl_plan
 from ringmot.semiclassical import (
+    TILE,
     GammaEta,
     Mollifier,
     _wrap,
@@ -129,6 +132,52 @@ class TestBumpWindow:
         g = GammaEta(plan, uniform, chi, support_separation(plan) / 8)
         g.offsets = g.offsets[1:-1]
         assert not self.compare(g)
+
+
+class TestTiledBMatrix:
+    """b_matrix contracted per z-tile equals the dense PB matrix times columns.T."""
+
+    @staticmethod
+    def dense_reference(g, xs):
+        z = g.zgrid
+        pb = g.chi.chi_sq(_wrap(xs[:, None] - z[None, :]) / g.eta) / g.eta
+        return (pb * g.dz) @ g.columns.T
+
+    @staticmethod
+    def point_sets(g):
+        rng = np.random.default_rng(5)
+        # points whose nearest node is a tile's first or last node: their
+        # windows reach the ends of the tile's z-range
+        edges = g.zgrid[[0, TILE - 1, TILE, 7 * TILE - 1, 7 * TILE, g.zgrid.size - 1]]
+        shifted = np.concatenate([edges + 0.49 * g.dz, edges - 0.49 * g.dz])
+        return {
+            "midpoints": semiclassical._midpoints(1024),
+            "unsorted": np.concatenate(
+                [rng.uniform(-0.5, TWO_PI + 0.5, 300), rng.permutation(shifted)]
+            ),
+            "ends": np.array([0.0, TWO_PI]),
+            "duplicates": np.array([1.0, 4.0, 1.0, 1.0, 4.0]),
+            "single": np.array([2.0]),
+            "empty": np.array([]),
+        }
+
+    @pytest.mark.parametrize("share", [1 / 8, 0.249])
+    @pytest.mark.parametrize("n, m", [(2, 64), (3, 63)])
+    def test_matches_dense(self, cosine08, chi, n, m, share):
+        plan = seidl_plan(cosine08, n, m)
+        g = GammaEta(plan, cosine08, chi, share * support_separation(plan))
+        for name, xs in self.point_sets(g).items():
+            got, ref = g.b_matrix(xs), self.dense_reference(g, xs)
+            assert got.shape == ref.shape == (xs.size, g.coords.size), name
+            assert np.array_equal(got == 0.0, ref == 0.0), name
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), name
+
+    def test_wrapping_tile_range_rejected(self, monkeypatch, uniform, chi):
+        plan = seidl_plan(uniform, 2, 64)
+        monkeypatch.setattr(semiclassical, "TOL", dataclasses.replace(TOL, quad_grid=256))
+        reach = int(np.ceil(0.3 / (TWO_PI / 256)))
+        with pytest.raises(ConstructionError, match=f"{TILE + 2 * reach + 1}.*256"):
+            GammaEta(plan, uniform, chi, 0.3)
 
 
 class TestMarginalIdentity:
@@ -256,6 +305,40 @@ class TestUpperBound:
         curve = upper_bound_curve(rho, w_h, 2, [1e-1, 1e-2, 1e-3, 1e-4], m=64)
         got = [(p.kinetic, p.interaction, p.bound) for p in curve.points]
         assert np.allclose(got, pinned, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_one_state_per_distinct_eta(self, name, request, monkeypatch, chi, ring_inverse):
+        rho = request.getfixturevalue(name)
+        built = []
+
+        class Counting(GammaEta):
+            def __init__(self, *args):
+                built.append(args[-1])
+                super().__init__(*args)
+
+        monkeypatch.setattr(semiclassical, "GammaEta", Counting)
+        radius = self.PINNED[name][0]
+        w_h = truncate(ring_inverse, support_thresholds(rho, ring_inverse, radius, 2).h)
+        curve = upper_bound_curve(rho, w_h, 2, [1e-1, 1e-2, 1e-3, 1e-4], m=64)
+        # the probe at alpha / 8 is the largest-eps row's state
+        assert curve.points[0].eta == curve.cap
+        assert len(built) == len(set(built)) == curve.states == 4
+        plan = seidl_plan(rho, 2, 64)
+        for p in curve.points:
+            g = GammaEta(plan, rho, chi, p.eta)
+            assert p.kinetic == kinetic_energy(g).exact
+            assert p.reach == g.reach
+
+    @pytest.mark.parametrize(
+        "eps, named",
+        [([1e-1, float("nan")], "eps = nan"), ([1e-1, float("inf")], "eps = inf"),
+         ([1e-1, 1e-2, 1e-1], "eps = 0.1 is repeated"), ([1e-1, 0.0], "eps = 0.0"),
+         ([], "empty")],
+        ids=["nan", "inf", "duplicate", "zero", "empty"],
+    )
+    def test_bad_eps_rejected(self, uniform, truncated_ring, eps, named):
+        with pytest.raises(DomainError, match=named):
+            upper_bound_curve(uniform, truncated_ring, 2, eps, m=16)
 
     def test_unbounded_cost_rejected(self, ring_inverse):
         with pytest.raises(DomainError):
