@@ -161,7 +161,10 @@ def cmd_kantorovich(args) -> int:
         for x, v in zip(cert.potential.grid, cert.potential.values):
             writer.writerow([f"{x:.17g}", f"{v:.17g}"])
     _write_json(out / "certificate.json", cert.to_json())
-    _manifest(out, "kantorovich", vars(args), [args.density, args.cost], started)
+    _manifest(
+        out, "kantorovich", vars(args), [args.density, args.cost], started,
+        {"kantorovich": cert.stage()},
+    )
     return 0 if cert.passed() else 1
 
 

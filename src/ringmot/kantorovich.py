@@ -64,7 +64,25 @@ def density_pairing(rho: GridDensity, v: Potential) -> float:
     return float(np.dot(quad_weights(v.grid), rho.density(v.grid) * v.values))
 
 
-def _doubled_pair_matrix(v: Potential, w: CostModel, n: int) -> np.ndarray:
+# side of the square blocks in which the three-body min-plus is bounded and scanned
+TILE = 8
+
+
+@dataclass(frozen=True)
+class _PairMatrix:
+    """2 w on the grid; for n >= 3 also its TILE x TILE blocks and their minima.
+
+    For the blocks the matrix is padded with +inf to nb * TILE rows and
+    columns; `blocks[I * nb + J]` holds rows I*TILE.. and columns J*TILE..
+    of the padded matrix, and `minima[I, J]` is that block's minimum.
+    """
+
+    full: np.ndarray
+    blocks: np.ndarray | None = None
+    minima: np.ndarray | None = None
+
+
+def _doubled_pair_matrix(v: Potential, w: CostModel, n: int) -> _PairMatrix:
     """2 w on the grid, after the grid^(n-1) guard (checked before any work)."""
     if n < 2:
         raise DomainError("need n >= 2 marginals")
@@ -73,40 +91,115 @@ def _doubled_pair_matrix(v: Potential, w: CostModel, n: int) -> np.ndarray:
             f"grid^(n-1) = {v.size}^{n - 1} = {v.size ** (n - 1)} exceeds the "
             f"c-transform guard {TOL.ctransform_guard}"
         )
-    return 2.0 * np.asarray(w.pair_matrix(v.grid), dtype=float)
+    pair2 = 2.0 * np.asarray(w.pair_matrix(v.grid), dtype=float)
+    if n == 2:
+        return _PairMatrix(pair2)
+    nb = -(-v.size // TILE)
+    padded = np.full((nb * TILE, nb * TILE), np.inf)
+    padded[: v.size, : v.size] = pair2
+    blocks = padded.reshape(nb, TILE, nb, TILE).swapaxes(1, 2).reshape(nb * nb, TILE, TILE)
+    return _PairMatrix(pair2, blocks, blocks.min(axis=(1, 2)).reshape(nb, nb))
 
 
-def _bounded_pair_matrix(v: Potential, w: CostModel, n: int) -> np.ndarray:
-    pair2 = _doubled_pair_matrix(v, w, n)
-    if not np.all(np.isfinite(pair2)):
+def _bounded_pair_matrix(v: Potential, w: CostModel, n: int) -> _PairMatrix:
+    pair = _doubled_pair_matrix(v, w, n)
+    if not np.all(np.isfinite(pair.full)):
         raise DomainError("cost is unbounded on the grid; truncate first")
-    return pair2
+    return pair
 
 
-def _min_plus(pair2: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+def _min_plus(pair: _PairMatrix, u: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
     """min over y_1..y_k of sum_j pair2[x, y_j] + sum_{j<l} pair2[y_j, y_l] - sum_j u[y_j].
 
-    Returned for every grid x. Fixing y_1 = y leaves the same problem in k-1
-    points anchored at y with u - pair2[x], so the cost is grid^(k+1) with one
-    grid x grid temporary live per level. +inf cells of an unbounded cost
-    only produce +inf sums or -inf shifted potentials, never inf - inf.
+    Returned for every grid x, with the blocks scanned and the blocks there
+    were, summed over the k=2 calls (0, 0 for k=1). Fixing y_1 = y leaves
+    the same problem in k-1 points anchored at y with u - pair2[x], down to
+    k=2, reached grid^(k-2) times. There `_tiled_min_plus` bounds every
+    TILE x TILE block of (y1, y2) from below by its minima (a valid bound
+    because rounding is monotone) and scans only the blocks whose bound does
+    not exceed one exact term: bit for bit the per-x loop's minimum, in
+    O(g * nb^2) plus the scanned blocks' terms and O(g^2) memory. +inf cells
+    of an unbounded cost only produce +inf sums or -inf shifted potentials,
+    never inf - inf.
     """
+    pair2 = pair.full
     if k == 1:
-        return (pair2 - u[None, :]).min(axis=1)
+        return (pair2 - u[None, :]).min(axis=1), 0, 0
+    if k == 2:
+        return _tiled_min_plus(pair, u)
     out = np.empty(u.size)
+    scanned = total = 0
     for x in range(u.size):
-        out[x] = np.min(pair2[x] - u + _min_plus(pair2, u - pair2[x], k - 1))
-    return out
+        inner, s, t = _min_plus(pair, u - pair2[x], k - 1)
+        out[x] = np.min(pair2[x] - u + inner)
+        scanned += s
+        total += t
+    return out, scanned, total
+
+
+def _tiled_min_plus(pair: _PairMatrix, u: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """min over y1, y2 of fl(A[x, y1] + fl(P[y1, y2] + A[x, y2])), exactly.
+
+    P = pair2 and A = P - u (row x), padded with +inf, so padded terms are
+    +inf and, as u < +inf, no term is NaN. These are the terms of the per-x
+    recursion, which adds A[x, y1] to min over y2 of fl(P - (u - P[x])):
+    round-to-nearest is sign-symmetric, so u - P[x] rounds to exactly -A
+    (up to the sign of a zero, which cannot show while P has no -0 entry),
+    and rounding is monotone, so fl(a + min b) = min fl(a + b).
+
+    Monotone rounding also makes LB[x, I, J] = fl(min_I A[x] +
+    fl(minima[I, J] + min_J A[x])) a lower bound on every term of block
+    (I, J). U[x], the exact minimum over the block of least LB, is a term
+    itself, so the minimum lies in a block with LB <= U. Only those blocks
+    are scanned, and the result is the recursion's bit for bit.
+
+    Cost: g * nb^2 bounds plus TILE^2 terms per scanned block (about 4% of
+    the blocks at g=256 on a fixed point's potentials). Memory: A (g rows of
+    nb * TILE) besides the pair matrix and its blocks, plus, per x-tile of
+    TILE rows, one (TILE, nb^2) bound and the terms of its scanned blocks.
+    """
+    g, nb = u.size, pair.minima.shape[0]
+    a = np.full((g, nb * TILE), np.inf)
+    np.subtract(pair.full, u, out=a[:, :g])
+    a = a.reshape(g * nb, TILE)
+    a_min = a[:, 0].copy()
+    for col in range(1, TILE):  # a strided minimum per column beats min(axis=1) over 8
+        np.minimum(a_min, a[:, col], out=a_min)
+    a_min = a_min.reshape(g, nb)
+
+    def block_terms(x, ij):
+        # the TILE^2 terms of block ij = I * nb + J in row x, one row per (x, ij)
+        terms = np.take(pair.blocks, ij, axis=0)
+        terms += np.take(a, x * nb + ij % nb, axis=0)[:, None, :]
+        terms += np.take(a, x * nb + ij // nb, axis=0)[:, :, None]
+        return terms.reshape(x.size, TILE * TILE)
+
+    out = np.empty(g)
+    scanned = 0
+    bound = np.empty((TILE, nb, nb))
+    for x0 in range(0, g, TILE):
+        rows = np.arange(x0, min(x0 + TILE, g))
+        lb = bound[: rows.size]
+        np.add(pair.minima, a_min[rows, None, :], out=lb)
+        lb += a_min[rows, :, None]
+        lb = lb.reshape(rows.size, nb * nb)
+        upper = block_terms(rows, lb.argmin(axis=1)).min(axis=1)
+        hits = np.flatnonzero(lb <= upper[:, None])
+        x, ij = np.divmod(hits, nb * nb)
+        starts = np.searchsorted(hits, np.arange(rows.size) * (nb * nb))
+        out[rows] = np.minimum.reduceat(block_terms(x + x0, ij).ravel(), starts * TILE * TILE)
+        scanned += hits.size
+    return out, scanned, g * nb * nb
 
 
 def c_transform(v: Potential, w: CostModel, n: int) -> Potential:
     """u_c(x) = min over the grid of c_n(x, y_1..y_{n-1}) - sum u(y_j).
 
-    Grid argmin ties break at the lowest index. Requires a bounded cost;
-    the transform of a bounded function is continuous with the modulus of
-    c_n in its first argument.
+    Requires a bounded cost; the transform of a bounded function is
+    continuous with the modulus of c_n in its first argument.
     """
-    return Potential(v.grid, _min_plus(_bounded_pair_matrix(v, w, n), v.values, n - 1))
+    values, _, _ = _min_plus(_bounded_pair_matrix(v, w, n), v.values, n - 1)
+    return Potential(v.grid, values)
 
 
 @dataclass(frozen=True)
@@ -116,6 +209,9 @@ class ConvergenceReport:
     residual: float
     history: tuple
     repaired: bool  # final min(v, v_c) half-step was applied
+    margin: float  # min(v_c - v) of the returned potential
+    tiles_scanned: int  # over the k=2 min-plus calls of every transform
+    tiles_total: int
 
 
 def averaged_iteration(
@@ -131,11 +227,22 @@ def averaged_iteration(
     feasible, so the loop converges to a fixed point with v = v_c. The
     returned potential is feasibility-repaired: if the final iterate dips
     below its transform anywhere beyond tol, one extra half-step
-    v <- min(v, v_c) restores c_n - (+)v >= -tol exactly.
+    v <- min(v, v_c) restores c_n - (+)v >= -tol exactly. The report's
+    margin is min(v_c - v) of the returned v, i.e. its `feasibility_margin`;
+    only a repaired v costs one more transform.
     """
-    pair2 = _bounded_pair_matrix(v0, w, n)
+    pair = _bounded_pair_matrix(v0, w, n)
+    scanned = total = 0
+
+    def transform(values):
+        nonlocal scanned, total
+        vc, s, t = _min_plus(pair, values, n - 1)
+        scanned += s
+        total += t
+        return vc
+
     v = v0.values
-    vc = _min_plus(pair2, v, n - 1)
+    vc = transform(v)
     history = []
     converged = False
     iterations = 0
@@ -146,12 +253,14 @@ def averaged_iteration(
             converged = True
             break
         v = ((n - 1) * v + vc) / n
-        vc = _min_plus(pair2, v, n - 1)
+        vc = transform(v)
     repaired = bool(np.any(v - vc > tol))
     if repaired:
         v = np.minimum(v, vc)
+        vc = transform(v)
     report = ConvergenceReport(
-        converged, iterations, history[-1] if history else 0.0, tuple(history), repaired
+        converged, iterations, history[-1] if history else 0.0, tuple(history), repaired,
+        float(np.min(vc - v)), scanned, total,
     )
     return Potential(v0.grid, v), report
 
@@ -161,7 +270,8 @@ def feasibility_margin(v: Potential, w: CostModel, n: int) -> float:
 
     +inf cells of an unbounded cost never attain the minimum.
     """
-    return float(np.min(_min_plus(_doubled_pair_matrix(v, w, n), v.values, n - 1) - v.values))
+    vc, _, _ = _min_plus(_doubled_pair_matrix(v, w, n), v.values, n - 1)
+    return float(np.min(vc - v.values))
 
 
 def duality_gap(
@@ -234,7 +344,7 @@ class UntruncateReport:
 def untruncate_certificate(
     v: Potential,
     w_full: CostModel,
-    w_trunc: CostModel,
+    margin_trunc: float,
     rho: GridDensity,
     n: int,
     value_truncated: float,
@@ -244,12 +354,12 @@ def untruncate_certificate(
 ) -> UntruncateReport:
     """Lift a certificate for the truncated problem to the full one.
 
-    The full cost dominates the truncated cost, so the feasibility margin
-    can only improve; the optimal values agree once the truncation level
-    clears the support threshold, so the same duality gap certifies v for
-    the untruncated problem.
+    `margin_trunc` is v's feasibility margin for the truncated cost, as
+    `averaged_iteration` reports it. The full cost dominates the truncated
+    cost, so the feasibility margin can only improve; the optimal values
+    agree once the truncation level clears the support threshold, so the
+    same duality gap certifies v for the untruncated problem.
     """
-    margin_trunc = feasibility_margin(v, w_trunc, n)
     if margin_trunc < -tol:
         raise DomainError("potential is not certified for the truncated cost")
     margin_full = feasibility_margin(v, w_full, n)
@@ -280,6 +390,9 @@ class PotentialCertificate:
     untruncate: UntruncateReport
     lp_value_truncated: float
     lp_value_full: float
+    fixed_point: ConvergenceReport
+    lp_truncated: dict  # mmot.SIMPLEX_COUNTERS of the two LPs
+    lp_full: dict
 
     def passed(self) -> bool:
         return bool(
@@ -309,6 +422,22 @@ class PotentialCertificate:
             "passed": self.passed(),
         }
 
+    def stage(self) -> dict:
+        """Deterministic telemetry of the fixed point and LPs, for the manifest's `stages`."""
+        fp = self.fixed_point
+        return {
+            "iterations": fp.iterations,
+            "residual_history": list(fp.history),
+            "repaired": fp.repaired,
+            "margin_truncated": self.untruncate.margin_truncated,
+            "margin_full": self.untruncate.margin_full,
+            "lp_truncated": self.lp_truncated,
+            "lp_full": self.lp_full,
+            "tile": TILE,
+            "tiles_scanned": fp.tiles_scanned,
+            "tiles_total": fp.tiles_total,
+        }
+
 
 def certify_potential(
     rho: GridDensity,
@@ -327,7 +456,7 @@ def certify_potential(
     and the certificate is lifted to the full cost.
     """
     from .costs import support_thresholds, truncate
-    from .mmot import quantize, solve_mmot, symmetrized_duals
+    from .mmot import SIMPLEX_COUNTERS, quantize, solve_mmot, symmetrized_duals
 
     if r is None:
         r = _auto_radius(rho, n)
@@ -352,7 +481,7 @@ def certify_potential(
     cost_bound = n * (n - 1) * thresholds.h
     osc_report = oscillation_bound_check(v, cost_bound, n, rho, sol_h.value)
     unt = untruncate_certificate(
-        v, w, w_h, rho, n, sol_h.value, sol_full.value, gap_tol, tol
+        v, w, report.margin, rho, n, sol_h.value, sol_full.value, gap_tol, tol
     )
     return PotentialCertificate(
         potential=v,
@@ -369,6 +498,9 @@ def certify_potential(
         untruncate=unt,
         lp_value_truncated=sol_h.value,
         lp_value_full=sol_full.value,
+        fixed_point=report,
+        lp_truncated={key: getattr(sol_h, key) for key in SIMPLEX_COUNTERS},
+        lp_full={key: getattr(sol_full, key) for key in SIMPLEX_COUNTERS},
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from ringmot.cli import main
 from ringmot.measure1d import GridDensity
+from ringmot.mmot import SIMPLEX_COUNTERS
 from ringmot.seidl import plan_from_csv
 
 
@@ -114,6 +115,27 @@ class TestArtifacts:
         assert cert["passed"] is True
         rows = (out / "potential.csv").read_text().strip().splitlines()
         assert rows[0] == "x,v" and len(rows) == 65
+        stage = json.loads((out / "manifest.json").read_text())["stages"]["kantorovich"]
+        assert set(stage) == {
+            "iterations", "residual_history", "repaired", "margin_truncated", "margin_full",
+            "lp_truncated", "lp_full", "tile", "tiles_scanned", "tiles_total",
+        }
+        assert stage["iterations"] == cert["iterations"] == len(stage["residual_history"])
+        assert stage["residual_history"][-1] == cert["residual"]
+        assert stage["margin_truncated"] == cert["margin"]
+        assert stage["margin_full"] >= stage["margin_truncated"]
+        for lp in ("lp_truncated", "lp_full"):
+            assert set(stage[lp]) == set(SIMPLEX_COUNTERS)
+        assert (stage["tile"], stage["tiles_scanned"], stage["tiles_total"]) == (8, 0, 0)
+
+    def test_kantorovich_stage_n3(self, specs, tmp_path):
+        out = tmp_path / "kant3"
+        assert run(["kantorovich", "--density", specs["density"], "--cost", specs["cost"],
+                    "--n", "3", "--grid", "24", "--m", "6", "--out", str(out)]) == 0
+        stage = json.loads((out / "manifest.json").read_text())["stages"]["kantorovich"]
+        transforms = stage["iterations"] + stage["repaired"]  # converged: one per iteration
+        assert stage["tiles_total"] == transforms * 24 * (24 // 8) ** 2
+        assert transforms * 24 <= stage["tiles_scanned"] < stage["tiles_total"]
 
     def test_semiclassical_outputs(self, specs, tmp_path):
         out = tmp_path / "semi"

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,10 @@ import pytest
 from ringmot.costs import InverseProfile, make_ring_cost, truncate
 from ringmot.errors import DomainError, SizeGuardError
 from ringmot.kantorovich import (
+    TILE,
     Potential,
+    _doubled_pair_matrix,
+    _min_plus,
     averaged_iteration,
     c_transform,
     certify_potential,
@@ -19,6 +24,8 @@ from ringmot.kantorovich import (
 )
 from ringmot.mmot import quantize, solve_mmot, symmetrized_duals
 from ringmot.seidl import plan_cost, seidl_plan
+
+PINNED = Path(__file__).parent / "golden" / "potential_cosine_n3_g64.json"
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +129,24 @@ class TestAveragedIteration:
         v, report = averaged_iteration(zero_potential(64), ring10, 2, max_iters=400, tol=1e-6)
         assert report.converged
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("max_iters", [0, 3, 400], ids=["repaired", "stopped", "converged"])
+    def test_report_margin_is_feasibility_margin(self, ring10, n, max_iters):
+        # with no step the infeasible start is repaired to min(v, v_c), and
+        # the margin then takes one more transform
+        grid = uniform_grid(33)
+        v0 = Potential(grid, np.random.default_rng(1).uniform(-3.0, 3.0, 33))
+        v, report = averaged_iteration(v0, ring10, n, max_iters)
+        assert report.repaired == (max_iters == 0)
+        assert report.converged == (max_iters == 400)
+        assert report.margin == feasibility_margin(v, ring10, n)
+        transforms = report.iterations + (not report.converged) + report.repaired
+        if n == 2:
+            assert (report.tiles_scanned, report.tiles_total) == (0, 0)
+        else:
+            assert report.tiles_total == transforms * 33 * (-(-33 // TILE)) ** 2
+            assert transforms * 33 <= report.tiles_scanned <= report.tiles_total
+
     def test_symmetric_density_symmetric_fixed_point(self, cosine, ring10):
         # the iteration map commutes with x -> 2*pi - x; degenerate LP duals
         # need not be symmetric, so symmetrize the start before iterating
@@ -131,6 +156,36 @@ class TestAveragedIteration:
         v0 = Potential(grid, (raw + raw[::-1]) / 2)
         v, report = averaged_iteration(v0, ring10, 2, max_iters=300, tol=1e-8)
         assert np.max(np.abs(v.values - v.values[::-1])) <= 1e-6
+
+
+def loop_min_plus(pair2, u, k):
+    """The per-x recursion the tiled k=2 kernel replaced, kept as its reference."""
+    if k == 1:
+        return (pair2 - u[None, :]).min(axis=1)
+    out = np.empty(u.size)
+    for x in range(u.size):
+        out[x] = np.min(pair2[x] - u + loop_min_plus(pair2, u - pair2[x], k - 1))
+    return out
+
+
+class TestTiledMinPlus:
+    @pytest.mark.parametrize("truncated", [True, False], ids=["ring10", "ring_inverse"])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("g", [2, 3, 7, 8, 9, 17, 33, 64])
+    def test_matches_parent_loop(self, ring10, ring_inverse, g, k, truncated):
+        # the untruncated cost puts +inf on the diagonal, and at k=3 -inf into u
+        w = ring10 if truncated else ring_inverse
+        grid = uniform_grid(g)
+        pair = _doubled_pair_matrix(Potential(grid, np.zeros(g)), w, k + 1)
+        rng = np.random.default_rng(100 * g + k)
+        for u in (rng.uniform(-2.0, 2.0, g), 0.7 * np.cos(grid) - 0.2 * np.sin(3 * grid)):
+            with np.errstate(invalid="raise"):  # an inf - inf would raise here
+                got, scanned, total = _min_plus(pair, u, k)
+                want = loop_min_plus(pair.full, u, k)
+            assert not np.any(np.isnan(got))
+            assert np.array_equal(got, want)
+            assert total == g ** (k - 1) * (-(-g // TILE)) ** 2
+            assert g ** (k - 1) <= scanned <= total
 
 
 class TestMarginAndGap:
@@ -170,6 +225,17 @@ class TestMarginAndGap:
             duality_gap(uniform, v, 10.0, 3, w=ring10)
 
 
+class TestPinned:
+    def test_potential_pinned(self, cosine, ring_inverse):
+        # values taken before the tiled min-plus kernel; compared exactly so
+        # that a kernel change cannot move the fixed point unnoticed
+        pinned = json.loads(PINNED.read_text())
+        cert = certify_potential(cosine, ring_inverse, 3, grid_size=64)
+        assert cert.potential.values.tolist() == pinned["values"]
+        assert cert.margin == pinned["margin"]
+        assert cert.iterations == pinned["iterations"]
+
+
 class TestOscillation:
     def test_constant_potential(self):
         rep = oscillation_bound_check(Potential(uniform_grid(17), np.full(17, 2.0)), 5.0)
@@ -201,12 +267,8 @@ class TestCertification:
 
     def test_untruncate_rejects_bad_gap(self, uniform, ring_inverse):
         cert = certify_potential(uniform, ring_inverse, 2, 64, 8)
-        from ringmot.costs import support_thresholds
-
-        th = support_thresholds(uniform, ring_inverse, np.pi / 4, 2)
-        w_h = truncate(ring_inverse, th.h)
         bad = untruncate_certificate(
-            cert.potential, ring_inverse, w_h, uniform, 2,
+            cert.potential, ring_inverse, cert.margin, uniform, 2,
             cert.lp_value_truncated, cert.lp_value_full, gap_tol=1e-9,
         )
         assert not bad.passed
