@@ -5,7 +5,9 @@ A cost model wraps a vectorized evaluator w(x, y) with extended-real values
 symmetry, translation invariance, periodicity, and the infinity locus.
 
 Cost models are exactly symmetric; that is checked once at construction, so
-evaluation calls the raw evaluator once.
+evaluation calls the raw evaluator once. A `translation_invariant` flag is
+checked there too, bit for bit, because `grid_matrix` trusts it to read a
+uniform grid's pair matrix off one cost row.
 
 The four-point exchange inequality is certified on pair matrices: the G x G
 matrix of a uniform grid plus the 4 x 4 matrices of random 4-point sets. One
@@ -185,6 +187,30 @@ class CostModel:
                 f"{self.kind} cost is not exactly symmetric: w({xs[i]!r}, {xs[j]!r}) = "
                 f"{w[i, j]!r} but w({xs[j]!r}, {xs[i]!r}) = {w[j, i]!r}"
             )
+        if self.translation_invariant:
+            self._check_translation_invariant()
+
+    def _check_translation_invariant(self):
+        """w(x_i, x_j) must depend on i - j alone, bit for bit, on a dyadic grid.
+
+        The grid's nodes are small multiples of one power of two inside the
+        domain, so every difference x_i - x_j is exact and a cost of x - y
+        alone gives each diagonal one value.
+        """
+        lo, hi = self.domain
+        step = 2.0 ** np.floor(np.log2((hi - lo) / 16))
+        xs = step * np.arange(np.ceil(lo / step), np.floor(hi / step) + 1)
+        w = np.asarray(self.raw(xs[:, None], xs[None, :]), dtype=float)
+        offset = np.abs(np.arange(xs.size)[:, None] - np.arange(xs.size)[None, :])
+        bad = np.argwhere(w != w[0][offset])
+        if bad.size:
+            i, j = bad[0]
+            k = offset[i, j]
+            raise ConstructionError(
+                f"{self.kind} cost is flagged translation invariant but "
+                f"w({float(xs[i])!r}, {float(xs[j])!r}) = {float(w[i, j])!r} while "
+                f"w({float(xs[0])!r}, {float(xs[k])!r}) = {float(w[0, k])!r}"
+            )
 
     def __call__(self, x, y):
         w = self.raw(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -194,6 +220,39 @@ class CostModel:
         xs = np.asarray(xs, dtype=float)
         ys = xs if ys is None else np.asarray(ys, dtype=float)
         return self(xs[:, None], ys[None, :])
+
+    def grid_matrix(self, xs):
+        """The pair matrix on a uniform grid xs, from one cost row when it can.
+
+        A translation-invariant cost is evaluated once, on the row
+        w(xs[0], xs), and M[i, j] = row[|i - j|]: g evaluations instead of
+        g^2, and an exactly symmetric Toeplitz matrix. Each entry is the cost
+        at the grid's own offset xs[|i - j|] - xs[0] rather than at the
+        rounded fl(xs[i] - xs[j]) of `pair_matrix`, so finite entries can
+        differ from it in the last places; +inf entries sit at the same
+        pairs. Other costs take `pair_matrix`. Raises DomainError naming the
+        worst step when the steps of xs differ by more than rounding.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 1:
+            raise DomainError("grid_matrix needs a 1d grid")
+        if xs.size > 2:
+            steps = np.diff(xs)
+            mean = (xs[-1] - xs[0]) / (xs.size - 1)
+            worst = int(np.argmax(np.abs(steps - mean)))
+            # linspace and midpoint nodes sit within an ulp or two of the exact ones
+            if not abs(steps[worst] - mean) <= 16 * np.finfo(float).eps * np.abs(xs).max():
+                raise DomainError(
+                    f"grid_matrix needs a uniform grid: step {worst} "
+                    f"(xs[{worst}] = {float(xs[worst])!r} to xs[{worst + 1}] = "
+                    f"{float(xs[worst + 1])!r}) is {float(steps[worst])!r}, "
+                    f"the mean step is {float(mean)!r}"
+                )
+        if not self.translation_invariant:
+            return self.pair_matrix(xs)
+        row = self(xs[0], xs)
+        wrapped = np.concatenate((row[:0:-1], row))   # wrapped[g - 1 + k] = row[|k|]
+        return np.lib.stride_tricks.sliding_window_view(wrapped, xs.size)[::-1].copy()
 
 
 def make_ring_cost(g) -> CostModel:

@@ -83,7 +83,11 @@ class _PairMatrix:
 
 
 def _doubled_pair_matrix(v: Potential, w: CostModel, n: int) -> _PairMatrix:
-    """2 w on the grid, after the grid^(n-1) guard (checked before any work)."""
+    """2 w on the grid, after the grid^(n-1) guard (checked before any work).
+
+    The grid must be uniform: a translation-invariant cost is read off one
+    cost row (`CostModel.grid_matrix`), other costs are evaluated on every pair.
+    """
     if n < 2:
         raise DomainError("need n >= 2 marginals")
     if v.size ** (n - 1) > TOL.ctransform_guard:
@@ -91,7 +95,7 @@ def _doubled_pair_matrix(v: Potential, w: CostModel, n: int) -> _PairMatrix:
             f"grid^(n-1) = {v.size}^{n - 1} = {v.size ** (n - 1)} exceeds the "
             f"c-transform guard {TOL.ctransform_guard}"
         )
-    pair2 = 2.0 * np.asarray(w.pair_matrix(v.grid), dtype=float)
+    pair2 = 2.0 * w.grid_matrix(v.grid)
     if n == 2:
         return _PairMatrix(pair2)
     nb = -(-v.size // TILE)

@@ -100,11 +100,20 @@ def _midpoints(k: int) -> np.ndarray:
 
 
 def _correlate(samples, offsets, kernel, dz):
-    """Circular midpoint correlation: dz * sum of kernel[i] * samples[z + offsets[i]]."""
-    out = np.zeros(samples.size)
+    """Circular midpoint correlation: dz * sum of kernel[i] * samples[z + offsets[i]].
+
+    Each shifted copy is a slice of one copy of samples wrapped by the reach
+    R = max |offset| on both sides; the terms are added in offset order.
+    """
+    size = samples.size
+    reach = int(np.max(np.abs(offsets), initial=0))
+    if reach > size:
+        raise DomainError(f"correlation reach {reach} exceeds the {size} samples")
+    wrapped = np.concatenate((samples[size - reach:], samples, samples[:reach]))
+    out = np.zeros(size)
     for off, kv in zip(offsets, kernel):
         if kv != 0.0:
-            out += kv * np.roll(samples, -off)
+            out += kv * wrapped[reach + off: reach + off + size]
     return out * dz
 
 
@@ -330,8 +339,13 @@ PAIR_GRID = 1024   # nodes of the interaction quadrature's midpoint grid
 
 
 def midpoint_pair_matrix(w: CostModel) -> np.ndarray:
-    """The pair cost on the PAIR_GRID-node midpoint grid of the interaction quadrature."""
-    pair = np.asarray(w.pair_matrix(_midpoints(PAIR_GRID)), dtype=float)
+    """The pair cost on the PAIR_GRID-node midpoint grid of the interaction quadrature.
+
+    A translation-invariant cost is read off one cost row
+    (`CostModel.grid_matrix`), so a curve evaluates it PAIR_GRID times, not
+    PAIR_GRID^2 times.
+    """
+    pair = w.grid_matrix(_midpoints(PAIR_GRID))
     if not np.all(np.isfinite(pair)):
         raise DomainError("interaction quadrature needs a bounded cost; truncate first")
     return pair

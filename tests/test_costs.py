@@ -26,7 +26,12 @@ from ringmot.costs import (
     torus_distance,
     truncate,
 )
-from ringmot.errors import ConcentrationError, ConstructionError, ThresholdNotFoundError
+from ringmot.errors import (
+    ConcentrationError,
+    ConstructionError,
+    DomainError,
+    ThresholdNotFoundError,
+)
 
 from conftest import TWO_PI
 
@@ -374,6 +379,67 @@ class TestSupportThresholds:
     def test_bounded_cost_has_no_threshold(self, uniform, torus_linear):
         with pytest.raises(ThresholdNotFoundError):
             support_thresholds(uniform, torus_linear, np.pi / 4, 2)
+
+
+def grid_kind(kind, g):
+    """The inclusive potential grid or the periodic midpoint grid with g nodes."""
+    if kind == "inclusive":
+        return np.linspace(0.0, TWO_PI, g)
+    return (np.arange(g) + 0.5) * (TWO_PI / g)
+
+
+class TestGridMatrix:
+    """One cost row against the dense pair matrix on uniform grids."""
+
+    @staticmethod
+    def cost(name, ring_inverse, ring_exp2, torus_linear):
+        return {
+            "ring-inverse": ring_inverse,
+            "ring-exp": ring_exp2,
+            "torus-linear": torus_linear,
+            "torus-square": make_torus_cost(PowerProfile(2.0)),
+            "sum": cone_combine([ring_inverse, torus_linear], [1.0, 0.5]),
+            "truncated": truncate(ring_inverse, 3.0),
+        }[name]
+
+    @pytest.mark.parametrize("kind", ["inclusive", "midpoint"])
+    @pytest.mark.parametrize("g", [2, 3, 8, 1024])
+    @pytest.mark.parametrize(
+        "name", ["ring-inverse", "ring-exp", "torus-linear", "torus-square", "sum", "truncated"]
+    )
+    def test_matches_pair_matrix(self, name, g, kind, ring_inverse, ring_exp2, torus_linear):
+        w = self.cost(name, ring_inverse, ring_exp2, torus_linear)
+        assert w.translation_invariant
+        xs = grid_kind(kind, g)
+        got, dense = w.grid_matrix(xs), w.pair_matrix(xs)
+        assert got.shape == (g, g)
+        assert np.array_equal(np.isinf(got), np.isinf(dense))
+        finite = np.isfinite(dense)
+        # the atol floor only serves torus-linear's zero at distance pi, which the
+        # midpoint grid holds for even g: the row gives 0, fl(xs[i] - xs[j]) 4.4e-16
+        assert np.allclose(got[finite], dense[finite], rtol=1e-12, atol=1e-15)
+        assert np.array_equal(got, got.T)
+        offset = np.abs(np.arange(g)[:, None] - np.arange(g)[None, :])
+        assert np.array_equal(got, got[0][offset])  # Toeplitz: one value per offset
+
+    @pytest.mark.parametrize("kind", ["inclusive", "midpoint"])
+    def test_graph_cost_is_dense(self, kind):
+        w = random_convex_graph_cost(1, window_hi=TWO_PI)
+        assert not w.translation_invariant
+        xs = grid_kind(kind, 64)
+        assert np.array_equal(w.grid_matrix(xs), w.pair_matrix(xs))
+
+    def test_non_uniform_grid_rejected(self, ring_inverse):
+        xs = grid_kind("inclusive", 64)
+        xs[10] += 1e-6
+        with pytest.raises(DomainError, match=r"uniform grid: step 9 \(xs\[9\]"):
+            ring_inverse.grid_matrix(xs)
+
+    def test_false_translation_flag_rejected(self):
+        # symmetric but not a function of x - y: w(0, 1/4) != w(1/4, 1/2)
+        with pytest.raises(ConstructionError, match="flagged translation invariant"):
+            CostModel(kind="one-body", raw=lambda x, y: np.sin(x) + np.sin(y),
+                      domain=(0.0, TWO_PI), translation_invariant=True)
 
 
 class TestSymmetryAndSerialization:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -25,7 +26,7 @@ from ringmot.kantorovich import (
 from ringmot.mmot import quantize, solve_mmot, symmetrized_duals
 from ringmot.seidl import plan_cost, seidl_plan
 
-PINNED = Path(__file__).parent / "golden" / "potential_cosine_n3_g64.json"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,13 @@ class TestCTransform:
             lifted = c_transform(Potential(v.grid, v.values + c), ring10, n)
             plain = c_transform(v, ring10, n)
             assert np.allclose(lifted.values, plain.values - (n - 1) * c, atol=1e-12)
+
+    def test_non_uniform_grid_rejected(self, ring10):
+        grid = uniform_grid(33)
+        grid[20] += 1e-6
+        for n in (2, 3):
+            with pytest.raises(DomainError, match="uniform grid: step 19"):
+                c_transform(Potential(grid, np.zeros(33)), ring10, n)
 
     def test_double_transform_dominates_feasible(self, ring10):
         rng = np.random.default_rng(4)
@@ -226,14 +234,24 @@ class TestMarginAndGap:
 
 
 class TestPinned:
-    def test_potential_pinned(self, cosine, ring_inverse):
-        # values taken before the tiled min-plus kernel; compared exactly so
-        # that a kernel change cannot move the fixed point unnoticed
-        pinned = json.loads(PINNED.read_text())
-        cert = certify_potential(cosine, ring_inverse, 3, grid_size=64)
+    """Fixed points compared exactly, so that a kernel change cannot move them unnoticed."""
+
+    @staticmethod
+    def assert_pinned(rho, w, golden):
+        pinned = json.loads((GOLDEN / golden).read_text())
+        cert = certify_potential(rho, w, 3, grid_size=64)
         assert cert.potential.values.tolist() == pinned["values"]
         assert cert.margin == pinned["margin"]
         assert cert.iterations == pinned["iterations"]
+
+    def test_potential_pinned(self, cosine, ring_inverse):
+        # the pair matrix read off one cost row; values taken when that path came in
+        self.assert_pinned(cosine, ring_inverse, "potential_cosine_n3_g64_grid_matrix.json")
+
+    def test_potential_pinned_dense(self, cosine, ring_inverse):
+        # the cost evaluated on every grid pair; values taken before the tiled min-plus
+        dense = dataclasses.replace(ring_inverse, translation_invariant=False)
+        self.assert_pinned(cosine, dense, "potential_cosine_n3_g64.json")
 
 
 class TestOscillation:
