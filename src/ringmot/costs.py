@@ -1,13 +1,11 @@
 """Pairwise interaction models and their structural certificates.
 
-A cost model wraps a vectorized evaluator w(x, y) with extended-real values
-(+inf allowed) plus the structural metadata the transport machinery needs:
-symmetry, translation invariance, periodicity, and the infinity locus.
-
-Cost models are exactly symmetric; that is checked once at construction, so
-evaluation calls the raw evaluator once. A `translation_invariant` flag is
-checked there too, bit for bit, because `grid_matrix` trusts it to read a
-uniform grid's pair matrix off one cost row.
+A cost model evaluates w(x, y) with extended-real values (+inf allowed).
+Ring and torus costs, and their sums and truncations, are distance costs: a
+profile of the torus distance, so translation invariant and exactly
+symmetric by construction, and `grid_matrix` reads a uniform grid's pair
+matrix off one cost row. Other costs give a raw evaluator whose exact
+symmetry is checked once at construction.
 
 The four-point exchange inequality is certified on pair matrices: the G x G
 matrix of a uniform grid plus the 4 x 4 matrices of random 4-point sets. One
@@ -140,80 +138,57 @@ def profile_from_spec(spec: dict):
     return PROFILE_KINDS[kind](spec.get("params", {}))
 
 
-def _profile_warnings(g, lo, hi, label, samples=257):
-    """Flag (not fatal) convexity / monotonicity defects of a profile on [lo, hi]."""
-    t = np.linspace(lo, hi, samples)
-    try:
-        if not np.isfinite(np.asarray(g(lo), dtype=float)):
-            t = t[1:]
-        y = np.asarray(g(t), dtype=float)
-    except Exception as exc:
-        return (f"{label}: profile not evaluable on [{lo}, {hi}]: {exc}",)
-    warnings = []
-    if np.any(np.diff(y) > 1e-9):
-        warnings.append(f"{label}: profile not non-increasing on [{lo}, {hi}]")
-    finite = np.isfinite(y)
-    yf = y[finite]
-    if yf.size >= 3 and np.any(yf[:-2] + yf[2:] - 2 * yf[1:-1] < -1e-9):
-        warnings.append(f"{label}: profile not convex on [{lo}, {hi}]")
-    return tuple(warnings)
-
-
 # -- cost models ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CostModel:
-    """Symmetric pairwise interaction with extended-real values."""
+    """Symmetric pairwise interaction with extended-real values.
+
+    A distance cost is a profile of the torus distance, w(x, y) =
+    profile(|x - y|_T) on [0, 2*pi]: ring and torus costs and their sums and
+    truncations. It is translation invariant and exactly symmetric by
+    construction; its profile is evaluated once here on 13 distances in
+    [0, pi]. Any other cost gives its evaluator w(x, y) as `raw`, and its
+    exact symmetry is checked once here on 13 nodes of the domain.
+    """
 
     kind: str
-    raw: object = field(repr=False)
+    raw: object = field(default=None, repr=False)
     domain: tuple = (0.0, TWO_PI)
-    translation_invariant: bool = False
-    periodic: bool = False
-    infinity_locus: str = "none"
     bound: float | None = None
-    profile_warnings: tuple = ()
     spec: dict = field(default_factory=dict, repr=False)
+    profile: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        # exact symmetry is checked once here instead of symmetrising every call
+        if (self.raw is None) == (self.profile is None):
+            raise ConstructionError(f"{self.kind} cost needs exactly one of raw and profile")
+        if self.profile is not None:
+            if tuple(self.domain) != (0.0, TWO_PI):
+                raise ConstructionError(f"{self.kind} distance cost must live on [0, 2*pi]")
+            try:
+                self.profile(np.linspace(0.0, np.pi, 13))
+            except Exception as exc:
+                raise ConstructionError(f"{self.kind} profile not evaluable on [0, pi]: {exc}") from exc
+            return
         xs = np.linspace(*self.domain, 13)
         w = np.asarray(self.raw(xs[:, None], xs[None, :]), dtype=float)
         bad = np.argwhere(w != w.T)
         if bad.size:
             i, j = bad[0]
+            x, y = float(xs[i]), float(xs[j])
             raise ConstructionError(
-                f"{self.kind} cost is not exactly symmetric: w({xs[i]!r}, {xs[j]!r}) = "
-                f"{w[i, j]!r} but w({xs[j]!r}, {xs[i]!r}) = {w[j, i]!r}"
+                f"{self.kind} cost is not exactly symmetric: w({x!r}, {y!r}) = "
+                f"{float(w[i, j])!r} but w({y!r}, {x!r}) = {float(w[j, i])!r}"
             )
-        if self.translation_invariant:
-            self._check_translation_invariant()
 
-    def _check_translation_invariant(self):
-        """w(x_i, x_j) must depend on i - j alone, bit for bit, on a dyadic grid.
-
-        The grid's nodes are small multiples of one power of two inside the
-        domain, so every difference x_i - x_j is exact and a cost of x - y
-        alone gives each diagonal one value.
-        """
-        lo, hi = self.domain
-        step = 2.0 ** np.floor(np.log2((hi - lo) / 16))
-        xs = step * np.arange(np.ceil(lo / step), np.floor(hi / step) + 1)
-        w = np.asarray(self.raw(xs[:, None], xs[None, :]), dtype=float)
-        offset = np.abs(np.arange(xs.size)[:, None] - np.arange(xs.size)[None, :])
-        bad = np.argwhere(w != w[0][offset])
-        if bad.size:
-            i, j = bad[0]
-            k = offset[i, j]
-            raise ConstructionError(
-                f"{self.kind} cost is flagged translation invariant but "
-                f"w({float(xs[i])!r}, {float(xs[j])!r}) = {float(w[i, j])!r} while "
-                f"w({float(xs[0])!r}, {float(xs[k])!r}) = {float(w[0, k])!r}"
-            )
+    @property
+    def translation_invariant(self) -> bool:
+        return self.profile is not None
 
     def __call__(self, x, y):
-        w = self.raw(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        w = self.raw(x, y) if self.profile is None else self.profile(torus_distance(x, y))
         return np.asarray(w, dtype=float)[()]  # 0-d results come back as numpy scalars
 
     def pair_matrix(self, xs, ys=None):
@@ -224,14 +199,14 @@ class CostModel:
     def grid_matrix(self, xs):
         """The pair matrix on a uniform grid xs, from one cost row when it can.
 
-        A translation-invariant cost is evaluated once, on the row
-        w(xs[0], xs), and M[i, j] = row[|i - j|]: g evaluations instead of
-        g^2, and an exactly symmetric Toeplitz matrix. Each entry is the cost
-        at the grid's own offset xs[|i - j|] - xs[0] rather than at the
-        rounded fl(xs[i] - xs[j]) of `pair_matrix`, so finite entries can
-        differ from it in the last places; +inf entries sit at the same
-        pairs. Other costs take `pair_matrix`. Raises DomainError naming the
-        worst step when the steps of xs differ by more than rounding.
+        A distance cost is evaluated once, on the row w(xs[0], xs), and
+        M[i, j] = row[|i - j|]: g evaluations instead of g^2, and an exactly
+        symmetric Toeplitz matrix. Each entry is the cost at the grid's own
+        offset xs[|i - j|] - xs[0] rather than at the rounded fl(xs[i] - xs[j])
+        of `pair_matrix`, so finite entries can differ from it in the last
+        places; +inf entries sit at the same pairs. Other costs take
+        `pair_matrix`. Raises DomainError naming the worst step when the
+        steps of xs differ by more than rounding.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1:
@@ -257,53 +232,18 @@ class CostModel:
 
 def make_ring_cost(g) -> CostModel:
     """Chordal interaction w(t, p) = g(2 sin(|t - p| / 2)) for particles on S^1."""
-    warnings = _profile_warnings(g, 0.0, 2.0, "ring")
-    try:
-        g(np.array([0.5, 1.0, 2.0]))
-    except Exception as exc:
-        raise ConstructionError(f"ring profile not evaluable on [0, 2]: {exc}") from exc
-
-    def raw(x, y):
-        return g(2.0 * np.sin(0.5 * torus_distance(x, y)))
-
-    at_zero = float(np.asarray(g(0.0)).item()) if _finite_at(g, 0.0) else np.inf
     return CostModel(
         kind="ring",
-        raw=raw,
-        domain=(0.0, TWO_PI),
-        translation_invariant=True,
-        periodic=True,
-        infinity_locus="none" if np.isfinite(at_zero) else "periodic-diagonal",
-        profile_warnings=warnings,
+        profile=lambda d: g(2.0 * np.sin(0.5 * d)),
         spec={"kind": "ring", "profile": getattr(g, "spec", dict)()},
     )
 
 
 def make_torus_cost(g) -> CostModel:
     """w(x, y) = g(|x - y|_T) with g defined on [0, pi]."""
-    warnings = _profile_warnings(g, 0.0, np.pi, "torus")
-
-    def raw(x, y):
-        return g(torus_distance(x, y))
-
-    at_zero = float(np.asarray(g(0.0)).item()) if _finite_at(g, 0.0) else np.inf
     return CostModel(
-        kind="torus",
-        raw=raw,
-        domain=(0.0, TWO_PI),
-        translation_invariant=True,
-        periodic=True,
-        infinity_locus="none" if np.isfinite(at_zero) else "periodic-diagonal",
-        profile_warnings=warnings,
-        spec={"kind": "torus", "profile": getattr(g, "spec", dict)()},
+        kind="torus", profile=g, spec={"kind": "torus", "profile": getattr(g, "spec", dict)()}
     )
-
-
-def _finite_at(g, d):
-    try:
-        return bool(np.isfinite(np.asarray(g(d), dtype=float)))
-    except Exception:
-        return False
 
 
 def make_graph_cost(f, g, window=(0.0, TWO_PI)) -> CostModel:
@@ -311,8 +251,8 @@ def make_graph_cost(f, g, window=(0.0, TWO_PI)) -> CostModel:
 
     w(x, y) = g(sqrt((x - y)^2 + (f(x) - f(y))^2)), restricted to a finite
     window of the half line. f and g should be convex and non-increasing for
-    the exchange inequality to hold; defects are flagged, not fatal — the
-    certification below is the authority.
+    the exchange inequality to hold; nothing checks that here, and
+    `check_well_ordering` is the authority on whether it holds.
     """
     lo, hi = window
     span = hi - lo
@@ -322,7 +262,6 @@ def make_graph_cost(f, g, window=(0.0, TWO_PI)) -> CostModel:
         g(np.linspace(0.0, max(diag, 1e-9), 17))
     except Exception as exc:
         raise ConstructionError(f"graph profiles not evaluable on the window: {exc}") from exc
-    warnings = _profile_warnings(g, 0.0, max(diag, 1e-9), "graph g")
 
     def raw(x, y):
         return g(np.hypot(x - y, f(x) - f(y)))
@@ -331,10 +270,6 @@ def make_graph_cost(f, g, window=(0.0, TWO_PI)) -> CostModel:
         kind="graph",
         raw=raw,
         domain=(float(lo), float(hi)),
-        translation_invariant=False,
-        periodic=False,
-        infinity_locus="none",
-        profile_warnings=warnings,
         spec={
             "kind": "graph",
             "window": [float(lo), float(hi)],
@@ -342,6 +277,24 @@ def make_graph_cost(f, g, window=(0.0, TWO_PI)) -> CostModel:
             "g": getattr(g, "spec", dict)(),
         },
     )
+
+
+def _pointwise(kind, models, combine, spec, bound=None) -> CostModel:
+    """Combine the models' values pointwise by combine(list of values).
+
+    Distance costs combine to a distance cost, evaluated on one torus
+    distance; any other term makes the result a raw cost on the common domain.
+    """
+    lo = max(m.domain[0] for m in models)
+    hi = min(m.domain[1] for m in models)
+    if hi <= lo:
+        raise ConstructionError(f"{kind} models have incompatible domains")
+    if all(m.translation_invariant for m in models):
+        profiles = [m.profile for m in models]
+        return CostModel(kind, profile=lambda d: combine([p(d) for p in profiles]),
+                         bound=bound, spec=spec)
+    return CostModel(kind, raw=lambda x, y: combine([m(x, y) for m in models]),
+                     domain=(lo, hi), bound=bound, spec=spec)
 
 
 def cone_combine(models, weights) -> CostModel:
@@ -352,56 +305,24 @@ def cone_combine(models, weights) -> CostModel:
         raise ConstructionError("cone_combine needs at least one model")
     if len(models) != len(weights) or any(wt <= 0 for wt in weights):
         raise ConstructionError("cone_combine needs one positive weight per model")
-    lo = max(m.domain[0] for m in models)
-    hi = min(m.domain[1] for m in models)
-    if hi <= lo:
-        raise ConstructionError("cone_combine models have incompatible domains")
 
-    def raw(x, y):
-        total = weights[0] * models[0].raw(x, y)
-        for m, wt in zip(models[1:], weights[1:]):
-            total = total + wt * m.raw(x, y)
+    def weighted_sum(values):
+        total = weights[0] * values[0]
+        for wt, value in zip(weights[1:], values[1:]):
+            total = total + wt * value
         return total
 
-    return CostModel(
-        kind="sum",
-        raw=raw,
-        domain=(lo, hi),
-        translation_invariant=all(m.translation_invariant for m in models),
-        periodic=all(m.periodic for m in models),
-        infinity_locus=(
-            "periodic-diagonal"
-            if any(m.infinity_locus == "periodic-diagonal" for m in models)
-            else "none"
-        ),
-        profile_warnings=tuple(w for m in models for w in m.profile_warnings),
-        spec={
-            "kind": "sum",
-            "weights": weights,
-            "terms": [m.spec for m in models],
-        },
-    )
+    spec = {"kind": "sum", "weights": weights, "terms": [m.spec for m in models]}
+    return _pointwise("sum", models, weighted_sum, spec)
 
 
 def truncate(model: CostModel, h: float) -> CostModel:
     """Pointwise min(w, h); the result is bounded by h everywhere."""
     if not h > 0:
         raise DomainError("truncation level must be positive")
-
-    def raw(x, y):
-        return np.minimum(model.raw(x, y), h)
-
-    return CostModel(
-        kind=f"truncated-{model.kind}",
-        raw=raw,
-        domain=model.domain,
-        translation_invariant=model.translation_invariant,
-        periodic=model.periodic,
-        infinity_locus="none",
-        bound=float(h),
-        profile_warnings=model.profile_warnings,
-        spec={"kind": "truncated", "h": float(h), "base": model.spec},
-    )
+    spec = {"kind": "truncated", "h": float(h), "base": model.spec}
+    return _pointwise(f"truncated-{model.kind}", [model],
+                      lambda values: np.minimum(values[0], h), spec, bound=float(h))
 
 
 def cost_from_spec(spec: dict) -> CostModel:
@@ -642,8 +563,8 @@ class Envelopes:
 
 def envelopes(model: CostModel, t_grid: int = 256, sample: int = 256) -> Envelopes:
     """Tabulate the envelopes from a 2D sample grid on the torus."""
-    if not model.periodic:
-        raise DomainError("envelopes require a periodic cost on [0, 2*pi]")
+    if not model.translation_invariant:
+        raise DomainError("envelopes require a distance cost on [0, 2*pi]")
     xs = np.arange(sample) * (TWO_PI / sample)
     d = torus_distance(xs[:, None], xs[None, :]).ravel()
     w = np.asarray(model(xs[:, None], xs[None, :]), dtype=float).ravel()
@@ -676,8 +597,6 @@ def support_thresholds(
     model: CostModel,
     r: float,
     n: int,
-    env: Envelopes | None = None,
-    t_grid: int = 256,
 ) -> SupportThresholds:
     """Smallest grid beta with m(beta) above the crude-cost bound, plus the
     matching truncation level h = 2 (n-1) M(beta / 2), inflated slightly so
@@ -693,8 +612,7 @@ def support_thresholds(
         raise ConcentrationError(
             f"kappa(rho; r) = {kappa:.6f} is not below 1/n = {1.0 / n:.6f}"
         )
-    if env is None:
-        env = envelopes(model, t_grid=t_grid)
+    env = envelopes(model)
     cost_bound = float(n * (n - 1) * env.M_at(min(r, float(env._d_sorted[-1]))))
     rhs = cost_bound / (1.0 - n * kappa)
     for beta in env.t_grid:

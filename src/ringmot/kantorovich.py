@@ -27,11 +27,10 @@ def uniform_grid(size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Potential:
-    """Grid function on [0, 2*pi] with a normalization tag."""
+    """Grid function on [0, 2*pi]."""
 
     grid: np.ndarray
     values: np.ndarray
-    normalization: str = "raw"
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -478,10 +477,6 @@ def certify_potential(
 
     gap_tol = gap_tolerance(grid_size, m)
     gap = duality_gap(rho, v, sol_h.value, n)
-    if abs(gap) <= gap_tol:
-        # normalization holds within the gap budget; an exact shift would
-        # push the potential up by the gap and break grid feasibility
-        v = Potential(v.grid, v.values, "normalized")
     cost_bound = n * (n - 1) * thresholds.h
     osc_report = oscillation_bound_check(v, cost_bound, n, rho, sol_h.value)
     unt = untruncate_certificate(

@@ -67,7 +67,6 @@ class TestRingCost:
         assert ring_inverse(0.0, np.pi / 2) == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_infinity_locus(self, ring_inverse):
-        assert ring_inverse.infinity_locus == "periodic-diagonal"
         assert np.isinf(ring_inverse(1.0, 1.0))
         assert np.isinf(ring_inverse(0.0, TWO_PI))
 
@@ -305,7 +304,6 @@ class TestTranslationInvariantCriterion:
                 kind="even-profile",
                 raw=lambda x, y, g=g: g(np.abs(x - y)),
                 domain=(0.0, TWO_PI),
-                translation_invariant=True,
             )
             report_w = check_well_ordering(model, grid_size=24, seed=trial)
             assert report_g.verdict == report_w.verdict, (knots, amps, bend)
@@ -355,7 +353,6 @@ class TestTruncate:
         base = ring_inverse(xs, ys)
         low = base <= 10.0
         assert np.allclose(vals[low], base[low])
-        assert w10.infinity_locus == "none"
         assert w10.bound == 10.0
 
 
@@ -400,12 +397,16 @@ class TestGridMatrix:
             "torus-square": make_torus_cost(PowerProfile(2.0)),
             "sum": cone_combine([ring_inverse, torus_linear], [1.0, 0.5]),
             "truncated": truncate(ring_inverse, 3.0),
+            "ring-table": make_ring_cost(TableProfile((0.0, 0.5, 1.0, 2.0), (4.0, 2.0, 1.0, 0.5))),
+            "torus-power-neg": make_torus_cost(PowerProfile(-0.5)),
         }[name]
 
     @pytest.mark.parametrize("kind", ["inclusive", "midpoint"])
     @pytest.mark.parametrize("g", [2, 3, 8, 1024])
     @pytest.mark.parametrize(
-        "name", ["ring-inverse", "ring-exp", "torus-linear", "torus-square", "sum", "truncated"]
+        "name",
+        ["ring-inverse", "ring-exp", "torus-linear", "torus-square", "sum", "truncated",
+         "ring-table", "torus-power-neg"],
     )
     def test_matches_pair_matrix(self, name, g, kind, ring_inverse, ring_exp2, torus_linear):
         w = self.cost(name, ring_inverse, ring_exp2, torus_linear)
@@ -423,11 +424,12 @@ class TestGridMatrix:
         assert np.array_equal(got, got[0][offset])  # Toeplitz: one value per offset
 
     @pytest.mark.parametrize("kind", ["inclusive", "midpoint"])
-    def test_graph_cost_is_dense(self, kind):
-        w = random_convex_graph_cost(1, window_hi=TWO_PI)
-        assert not w.translation_invariant
+    def test_graph_cost_is_dense(self, kind, ring_inverse):
         xs = grid_kind(kind, 64)
-        assert np.array_equal(w.grid_matrix(xs), w.pair_matrix(xs))
+        for name in ("graph", "graph-sum", "graph-truncated"):
+            w, _ = graph_cost(name, ring_inverse)
+            assert not w.translation_invariant, name
+            assert np.array_equal(w.grid_matrix(xs), w.pair_matrix(xs)), name
 
     def test_non_uniform_grid_rejected(self, ring_inverse):
         xs = grid_kind("inclusive", 64)
@@ -435,30 +437,40 @@ class TestGridMatrix:
         with pytest.raises(DomainError, match=r"uniform grid: step 9 \(xs\[9\]"):
             ring_inverse.grid_matrix(xs)
 
-    def test_false_translation_flag_rejected(self):
+    def test_raw_cost_not_translation_invariant(self):
         # symmetric but not a function of x - y: w(0, 1/4) != w(1/4, 1/2)
-        with pytest.raises(ConstructionError, match="flagged translation invariant"):
-            CostModel(kind="one-body", raw=lambda x, y: np.sin(x) + np.sin(y),
-                      domain=(0.0, TWO_PI), translation_invariant=True)
+        w = CostModel(kind="one-body", raw=lambda x, y: np.sin(x) + np.sin(y),
+                      domain=(0.0, TWO_PI))
+        assert not w.translation_invariant
+        xs = grid_kind("inclusive", 16)
+        assert np.array_equal(w.grid_matrix(xs), w.pair_matrix(xs))
 
 
 class TestSymmetryAndSerialization:
-    @pytest.mark.parametrize("kind", ["ring", "torus", "graph", "sum", "truncated"])
+    @pytest.mark.parametrize(
+        "kind", ["ring", "torus", "graph", "sum", "truncated", "graph-sum", "graph-truncated"]
+    )
     def test_symmetry_on_random_pairs(self, kind, ring_inverse, torus_linear):
-        w = {
-            "ring": ring_inverse,
-            "torus": torus_linear,
-            "graph": random_convex_graph_cost(1, window_hi=TWO_PI),
-            "sum": cone_combine([ring_inverse, torus_linear], [1.0, 0.5]),
-            "truncated": truncate(ring_inverse, 3.0),
-        }[kind]
+        pointwise = None
+        if kind.startswith("graph"):
+            w, pointwise = graph_cost(kind, ring_inverse)
+        else:
+            w = {
+                "ring": ring_inverse,
+                "torus": torus_linear,
+                "sum": cone_combine([ring_inverse, torus_linear], [1.0, 0.5]),
+                "truncated": truncate(ring_inverse, 3.0),
+            }[kind]
         rng = np.random.default_rng(3)
         xs, ys = rng.uniform(0, TWO_PI, (2, 10_000))
         assert np.array_equal(w(xs, ys), w(ys, xs))
+        if pointwise is not None:
+            assert np.array_equal(w(xs, ys), pointwise(xs, ys))
 
     def test_asymmetric_raw_rejected(self):
-        with pytest.raises(ConstructionError, match="not exactly symmetric"):
+        with pytest.raises(ConstructionError, match="not exactly symmetric") as err:
             CostModel(kind="skew", raw=lambda x, y: np.exp(-(x - y)), domain=(0.0, TWO_PI))
+        assert "np.float64" not in str(err.value)
 
     def test_cost_spec_roundtrip(self, ring_inverse):
         again = cost_from_spec(ring_inverse.spec)
@@ -475,6 +487,8 @@ class TestSymmetryAndSerialization:
         profile = TableProfile((0.0, 1.0), (1.0, 0.0))
         with pytest.raises(ConstructionError):
             profile(2.0)
+        with pytest.raises(ConstructionError, match="not evaluable on"):
+            make_torus_cost(profile)  # torus distances reach pi
 
 
 class TestAppendixGraphCosts:
@@ -499,6 +513,18 @@ class TestAppendixGraphCosts:
                 w = make_graph_cost(f, g, (0.0, 4.0))
                 report = check_well_ordering(w, grid_size=16, seed=1)
                 assert report.verdict == "well_ordering", (fname, gname)
+
+
+def graph_cost(name, ring_inverse):
+    """A graph cost on [0, 2*pi], alone, summed with the ring cost or truncated,
+    with the pointwise evaluation the combined raw cost must match bit for bit."""
+    graph = random_convex_graph_cost(1, window_hi=TWO_PI)
+    if name == "graph-sum":
+        combined = cone_combine([graph, ring_inverse], [1.0, 0.5])
+        return combined, lambda x, y: 1.0 * graph(x, y) + 0.5 * ring_inverse(x, y)
+    if name == "graph-truncated":
+        return truncate(graph, 6.0), lambda x, y: np.minimum(graph(x, y), 6.0)
+    return graph, graph
 
 
 def random_convex_graph_cost(seed, window_hi=None):

@@ -298,12 +298,11 @@ class TestUpperBound:
         # the translation-invariant pair matrix is read off one 1024-point row
         shapes = []
 
-        def raw(x, y):
-            w = truncated_ring.raw(x, y)
-            shapes.append(np.shape(w))
-            return w
+        def profile(d):
+            shapes.append(np.shape(d))
+            return truncated_ring.profile(d)
 
-        counting = dataclasses.replace(truncated_ring, raw=raw)
+        counting = dataclasses.replace(truncated_ring, profile=profile)
         upper_bound_curve(uniform, counting, 2, [1e-1, 1e-2, 1e-3, 1e-4], m=16)
         assert shapes.count((1024,)) == 1
         assert (1024, 1024) not in shapes
