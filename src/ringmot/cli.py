@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import TWO_PI
-from .costs import check_well_ordering, load_cost, support_thresholds, truncate
+from .costs import check_well_ordering, load_cost
 from .errors import RingmotError
 from .kantorovich import certify_potential
 from .measure1d import load_density
@@ -173,9 +173,6 @@ def cmd_semiclassical(args) -> int:
     out = _out_dir(args)
     rho, _ = load_density(args.density)
     w = load_cost(args.cost)
-    if w.bound is None:
-        thresholds = support_thresholds(rho, w, args.radius, args.n)
-        w = truncate(w, thresholds.h)
     eps = [float(v) for v in args.eps.split(",")]
     curve = upper_bound_curve(rho, w, args.n, eps, m=args.m)
     with open(out / "curve.csv", "w", newline="", encoding="utf-8") as fh:
@@ -257,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--eps", required=True, help="comma-separated kinetic weights")
     p.add_argument("--m", type=int, default=64)
-    p.add_argument("--radius", type=float, default=np.pi / 4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_semiclassical)
 

@@ -448,22 +448,20 @@ def certify_potential(
     n: int,
     grid_size: int = 128,
     m: int = 8,
-    r: float | None = None,
     max_iters: int = 2000,
     tol: float = 1e-6,
 ) -> PotentialCertificate:
     """Full pipeline: thresholds, truncation, LP duals, fixed point, lift.
 
-    The LP duals on the m-point quantization seed the averaged iteration on
-    the grid; the converged fixed point is certified for the truncated cost
-    and the certificate is lifted to the full cost.
+    The truncation level is `support_thresholds`' h at `_auto_radius`. The LP
+    duals on the m-point quantization seed the averaged iteration on the grid;
+    the converged fixed point is certified for the truncated cost and the
+    certificate is lifted to the full cost.
     """
     from .costs import support_thresholds, truncate
     from .mmot import SIMPLEX_COUNTERS, quantize, solve_mmot, symmetrized_duals
 
-    if r is None:
-        r = _auto_radius(rho, n)
-    thresholds = support_thresholds(rho, w, r, n)
+    thresholds = support_thresholds(rho, w, _auto_radius(rho, n), n)
     w_h = truncate(w, thresholds.h)
     marginal = quantize(rho, m)
     sol_h = solve_mmot(marginal, n, w_h)

@@ -341,13 +341,20 @@ PAIR_GRID = 1024   # nodes of the interaction quadrature's midpoint grid
 def midpoint_pair_matrix(w: CostModel) -> np.ndarray:
     """The pair cost on the PAIR_GRID-node midpoint grid of the interaction quadrature.
 
-    A translation-invariant cost is read off one cost row
-    (`CostModel.grid_matrix`), so a curve evaluates it PAIR_GRID times, not
-    PAIR_GRID^2 times.
+    The cost is taken as given, untruncated. Its +inf cells where two midpoints
+    coincide (the diagonal) are set to 0, as trial states put no pair mass there;
+    any other non-finite cell raises DomainError naming it. A distance cost is
+    read off one cost row (`CostModel.grid_matrix`): PAIR_GRID evaluations, not PAIR_GRID^2.
     """
-    pair = w.grid_matrix(_midpoints(PAIR_GRID))
-    if not np.all(np.isfinite(pair)):
-        raise DomainError("interaction quadrature needs a bounded cost; truncate first")
+    xs = _midpoints(PAIR_GRID)
+    pair = w.grid_matrix(xs)
+    coincident = np.flatnonzero(np.isposinf(np.diagonal(pair)))
+    pair[coincident, coincident] = 0.0
+    bad = np.argwhere(~np.isfinite(pair))
+    if bad.size:
+        i, j = bad[0]
+        raise DomainError(f"interaction quadrature needs a finite cost off the diagonal: "
+                          f"w({xs[i]:.6g}, {xs[j]:.6g}) = {pair[i, j]} at cell ({i}, {j})")
     return pair
 
 
@@ -357,7 +364,8 @@ def interaction_energy(gamma: GammaEta, pair: np.ndarray) -> float:
     `pair` is the cost on a k-node midpoint grid (`midpoint_pair_matrix`);
     the quadrature runs on that grid, so one matrix serves every gamma of a
     curve. The permutation sum collapses: every ordered coordinate pair of
-    every atom contributes one smeared pair energy E[a, b].
+    every atom contributes one smeared pair energy E[a, b]; the pair's supports
+    are disjoint, so `pair`'s diagonal carries no weight.
     """
     xs = _midpoints(pair.shape[0])
     d = (gamma.b_matrix(xs) * (gamma.rho.density(xs) * (TWO_PI / xs.size))[:, None])
@@ -462,7 +470,8 @@ def upper_bound_curve(
     scale like sqrt(eps) and the curve approaches the plan cost at that
     rate from above. One state is built and priced per distinct eta: the
     probe at alpha / 8 serves every row capped there. The kinetic column is
-    the closed form, which needs no state.
+    the closed form, which needs no state. w is priced untruncated: as eta <= alpha / 8,
+    same-atom coordinates are weighted only at distance >= alpha / 2 (`midpoint_pair_matrix`).
     """
     chi = Mollifier.bump()
     eps_arr = _checked_eps(eps_list)

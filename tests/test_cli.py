@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ringmot.cli import main
+from ringmot.costs import WELL_ORDER_GRID_GUARD
 from ringmot.measure1d import GridDensity
 from ringmot.mmot import SIMPLEX_COUNTERS
 from ringmot.seidl import plan_from_csv
@@ -79,6 +80,13 @@ class TestExitCodes:
                     "--n", "3", "--m", "60", "--out", str(tmp_path / "z")])
         assert code == 2
         assert "guard" in capsys.readouterr().err
+
+    def test_wellordering_grid_guard(self, specs, tmp_path, capsys):
+        size = WELL_ORDER_GRID_GUARD + 1
+        code = run(["check-wellordering", "--cost", specs["cost"], "--grid", str(size),
+                    "--out", str(tmp_path / "g")])
+        assert code == 2
+        assert f"grid_size = {size} exceeds" in capsys.readouterr().err
 
 
 class TestArtifacts:
@@ -165,6 +173,27 @@ class TestArtifacts:
         assert code == 2
         assert f"eps = {named}" in capsys.readouterr().err
         assert not (out / "curve.csv").exists()
+
+    def test_semiclassical_bounded_cost(self, specs, tmp_path):
+        # a bounded cost has no support threshold; the curve prices it as given
+        torus = {"kind": "torus", "profile": {"kind": "linear",
+                                              "params": {"intercept": np.pi, "slope": 1.0}}}
+        cost = tmp_path / "torus.json"
+        cost.write_text(json.dumps(torus))
+        out = tmp_path / "semi"
+        assert run(["semiclassical", "--density", specs["density"], "--cost", str(cost),
+                    "--n", "2", "--eps", "1e-1,1e-2", "--m", "16", "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "curve.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (2, 5) and np.all(np.isfinite(rows))
+        reference = json.loads((out / "slope.json").read_text())["reference"]
+        assert np.all(rows[:, 4] > reference)
+
+    def test_semiclassical_radius_rejected(self, specs, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["semiclassical", "--density", specs["density"], "--cost", specs["cost"],
+                 "--eps", "1e-1", "--radius", "0.5", "--out", str(tmp_path / "semi")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --radius" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import pytest
 
 from ringmot import semiclassical
 from ringmot.config import TOL
-from ringmot.costs import support_thresholds, truncate
+from ringmot.costs import CostModel, support_thresholds, truncate
 from ringmot.errors import ConstructionError, DomainError, RegimeError
 from ringmot.measure1d import GridDensity
 from ringmot.seidl import DiscretePlan, plan_cost, seidl_plan
@@ -367,6 +367,24 @@ class TestUpperBound:
         with pytest.raises(DomainError, match=named):
             upper_bound_curve(uniform, truncated_ring, 2, eps, m=16)
 
-    def test_unbounded_cost_rejected(self, ring_inverse):
-        with pytest.raises(DomainError):
-            midpoint_pair_matrix(ring_inverse)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["uniform", "cosine08"])
+    def test_bare_cost_matches_truncated(self, name, n, request, ring_inverse):
+        # the disjoint regime weights no pair near x = y, so the truncation changes no bit
+        rho = request.getfixturevalue(name)
+        w_h = truncate(ring_inverse, support_thresholds(rho, ring_inverse, np.pi / 8, n).h)
+        eps = [1e-1, 1e-2, 1e-3, 1e-4]
+        bare = upper_bound_curve(rho, ring_inverse, n, eps, m=24)
+        assert bare == upper_bound_curve(rho, w_h, n, eps, m=24)
+
+    def test_singular_diagonal_zeroed(self, ring_inverse):
+        pair = midpoint_pair_matrix(ring_inverse)
+        assert np.all(np.diagonal(pair) == 0.0)
+        off = ~np.eye(pair.shape[0], dtype=bool)
+        grid = ring_inverse.grid_matrix(semiclassical._midpoints(pair.shape[0]))
+        assert np.array_equal(pair[off], grid[off])
+
+    def test_off_diagonal_inf_rejected(self):
+        sticky = CostModel("sticky", profile=lambda d: np.where(d < 0.1, np.inf, 1.0))
+        with pytest.raises(DomainError, match=r"= inf at cell \(0, 1\)"):
+            midpoint_pair_matrix(sticky)
