@@ -12,7 +12,11 @@ density n * rho exactly (up to plan quantization) and kinetic energy
 n * (dirichlet(sqrt rho) + dirichlet(chi) / eta^2), which prices the
 trial-state upper bound for the kinetic-plus-interaction functional.
 
-All integrals use the composite midpoint rule on uniform torus grids.
+All integrals use the composite midpoint rule on uniform torus grids. The
+kernels work on windows of the z-grid: a bump is kept on the 2 reach + 1
+nodes around its point's base node, evaluated once per distinct phase of the
+point against the grid, and B is contracted per z-tile over only the
+coordinates whose windows reach that tile.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from itertools import permutations
 from math import factorial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import TOL, TWO_PI
 from .costs import CostModel, torus_distance
@@ -135,15 +140,32 @@ def support_separation(plan: DiscretePlan) -> float:
 TILE = 256
 
 
+def _finite_points(x) -> np.ndarray:
+    """x as a float array; DomainError names its first non-finite entry and that entry's index."""
+    x = np.asarray(x, dtype=float)
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        at = tuple(int(i) for i in bad[0])
+        raise DomainError(f"point {x[at]} at index {at[0] if len(at) == 1 else at} is not finite")
+    return x
+
+
 class GammaEta:
     """Mollified trial state for a separated plan, in the disjoint regime.
 
-    On the TOL.quad_grid midpoint z-grid, every z with |x - z| < eta lies
-    within reach = ceil(eta / dz) steps of the node nearest x, so each bump
-    is evaluated only on `offsets` = -reach .. reach around that node. A
-    point whose nearest node lies in the TILE-node tile t therefore touches
-    only the z-range of TILE + 2 * reach nodes starting at t * TILE - reach,
-    which must not wrap onto itself around the torus.
+    On the TOL.quad_grid midpoint z-grid, a point p has the base node
+    b = rint(p / dz - 0.5) (mod quad_grid), its nearest, and the phase
+    phi = wrap(p - z_b) in [-dz / 2, dz / 2]. Every z with |p - z| < eta lies
+    within reach = ceil(eta / dz) steps of b, so the bump PB(p - z) is kept on
+    its window `offsets` = -reach .. reach only, at the argument
+    (phi - o dz) / eta for node b + o: one row per distinct phase, shared by
+    every point with that phase. A point whose base node lies in the
+    TILE-node tile t touches only the z-range of TILE + 2 * reach nodes
+    starting at t * TILE - reach, which must not wrap onto itself around the
+    torus.
+
+    Each unique plan coordinate c keeps its base node (`coord_base`) and its
+    window values PB(c - z) / den(z) (`coord_windows`, coords x offsets).
     """
 
     def __init__(self, plan: DiscretePlan, rho: GridDensity, chi: Mollifier, eta: float):
@@ -179,48 +201,69 @@ class GammaEta:
         coords, inverse = np.unique(plan.atoms, return_inverse=True)
         self.coords = coords
         self.coord_index = inverse.reshape(plan.atoms.shape)
-        # column kernels PB(y - z) / den(z) for each unique coordinate
-        self.columns = self._pb_outer(self.coords) / self.den[None, :]
+        # column kernels PB(c - z) / den(z) on each unique coordinate's window
+        self.coord_base, pb, phase = self._windows(coords)
+        self.coord_windows = pb[phase] / self.den[self._window_nodes(self.coord_base)]
+        self.contracted = (0, 0)   # (phases, tile_coords) of the latest b_matrix call
+
+    def _window_nodes(self, base):
+        """z-node indices of each window: (base + offsets) mod quad_grid."""
+        return np.mod(base[:, None] + self.offsets, self.zgrid.size)
 
     # PB(x) = chi_eta(x)^2 = chi(x / eta)^2 / eta
-    def _pb_outer(self, pts, start=0, width=None):
-        """Matrix PB(p - z) over (points, z-nodes start .. start + width - 1 mod grid).
+    def _windows(self, pts):
+        """Base nodes, the PB window row of each distinct phase, and each point's phase index.
 
-        Zero outside each point's window; the default range is the whole
-        z-grid. Every window must lie inside the range.
+        The bump is evaluated once per distinct phase; point i's window is
+        rows[phase[i]].
         """
-        gz = self.zgrid.size
-        nodes = np.mod(np.rint(pts / self.dz - 0.5).astype(int)[:, None] + self.offsets, gz)
-        out = np.zeros((pts.size, gz if width is None else width))
-        rows = np.arange(pts.size)[:, None]
-        u = _wrap(pts[:, None] - self.zgrid[nodes]) / self.eta
-        out[rows, np.mod(nodes - start, gz)] = self.chi.chi_sq(u) / self.eta
-        return out
+        base = np.mod(np.rint(pts / self.dz - 0.5).astype(int), self.zgrid.size)
+        phases, phase = np.unique(_wrap(pts - self.zgrid[base]), return_inverse=True)
+        rows = self.chi.chi_sq((phases[:, None] - self.offsets * self.dz) / self.eta) / self.eta
+        return base, rows, phase
 
     def b_matrix(self, xs) -> np.ndarray:
-        """B(x, coord) for arbitrary positions x, over all unique coordinates.
+        """B(x, coord) for arbitrary finite positions x, over all unique coordinates.
 
         B(x, c) = dz * sum over z of PB(x - z) PB(c - z) / den(z). The points
-        are bucketed by the z-tile of their nearest node, and each bucket's PB
-        block, built on the tile's z-range only, is contracted with the
-        `columns` of that range: the nodes no bump of the bucket reaches are
-        never summed.
+        are bucketed by the z-tile of their base node. Each bucket's windows
+        are placed in a block on the tile's z-range, which is contracted with
+        the windows of only the coordinates that reach that range: a cyclic
+        band of the sorted coordinates. Every other entry is an exact 0.
+        `contracted` records the distinct phases among xs and the coordinate
+        columns contracted, summed over tiles.
         """
-        xs = np.asarray(xs, dtype=float)
+        xs = _finite_points(xs)
         gz = self.zgrid.size
         width = TILE + 2 * self.reach
-        tiles = np.mod(np.rint(xs / self.dz - 0.5).astype(int), gz) // TILE
+        base, rows_pb, phase = self._windows(xs)
+        # the range of tile t starts at node t * TILE - reach, so window entry o
+        # of a point lands on column base % TILE + reach + o: a slice of its
+        # phase row padded by TILE zeros on both sides
+        padded = np.pad(rows_pb * self.dz, ((0, 0), (TILE, TILE)))
+        placed = sliding_window_view(padded, width, axis=1)
+        first = TILE - base % TILE
+        tiles = base // TILE
+        coord_nodes = self._window_nodes(self.coord_base)
         out = np.zeros((xs.size, self.coords.size))
+        tile_coords = 0
         for t in np.unique(tiles):
             rows = np.flatnonzero(tiles == t)
             start = t * TILE - self.reach
-            block = self._pb_outer(xs[rows], start, width) * self.dz
-            out[rows] = block @ self.columns[:, np.mod(np.arange(start, start + width), gz)].T
+            # a coordinate's window meets the range iff its base lies within reach of it
+            near = np.flatnonzero(np.mod(self.coord_base - start + self.reach, gz) < width + 2 * self.reach)
+            # window nodes outside the range land in a spare last column
+            cols = np.minimum(np.mod(coord_nodes[near] - start, gz), width)
+            kernels = np.zeros((near.size, width + 1))
+            np.put_along_axis(kernels, cols, self.coord_windows[near], axis=1)
+            out[rows[:, None], near] = placed[phase[rows], first[rows]] @ kernels[:, :width].T
+            tile_coords += near.size
+        self.contracted = (rows_pb.shape[0], tile_coords)
         return out
 
     def density_at(self, tuples) -> np.ndarray:
         """Diagonal n-particle density at the given coordinate tuples."""
-        x = np.atleast_2d(np.asarray(tuples, dtype=float))
+        x = _finite_points(np.atleast_2d(np.asarray(tuples, dtype=float)))
         if x.shape[1] != self.n:
             raise DomainError("tuples must have n coordinates")
         pts, inv = np.unique(x, return_inverse=True)
@@ -299,7 +342,11 @@ def closed_form_kinetic(n: int, rho: GridDensity, chi: Mollifier, eta: float) ->
 
 
 def kinetic_energy(gamma: GammaEta) -> KineticReport:
-    """Both sides of the kinetic identity for the smeared state."""
+    """Both sides of the kinetic identity for the smeared state.
+
+    The quadrature side integrates K(z) against each coordinate's column
+    kernel on that coordinate's window, where the kernel is nonzero.
+    """
     n = gamma.n
     eta = gamma.eta
     chi = gamma.chi
@@ -327,7 +374,8 @@ def kinetic_energy(gamma: GammaEta) -> KineticReport:
         + 0.5 * _correlate(drho, offsets, k_sq_prime, dz)
         + _correlate(rho_s, offsets, k_d, dz)
     )
-    kq = (gamma.columns * kz[None, :]).sum(axis=1) * dz   # per-coordinate integral
+    # per-coordinate integral of K against its column kernel, over its window
+    kq = (gamma.coord_windows * kz[gamma._window_nodes(gamma.coord_base)]).sum(axis=1) * dz
     quadrature = float(
         np.dot(gamma.plan.weights, kq[gamma.coord_index].sum(axis=1))
     )
@@ -413,6 +461,8 @@ class BoundPoint:
     eps: float
     eta: float
     reach: int            # z-grid steps of the bump's half-width at this eta
+    phases: int           # distinct bump phases of the interaction grid's points
+    tile_coords: int      # coordinate columns contracted on the interaction grid, over tiles
     kinetic: float
     interaction: float
     bound: float
@@ -427,14 +477,20 @@ class BoundCurve:
     alpha: float          # support separation of the base plan
     cap: float            # the widest width used, alpha / 8
     states: int           # GammaEta states built: one per distinct eta
+    coords: int           # unique coordinates of the base plan
 
     def stage(self) -> dict:
         """Deterministic telemetry of the curve, for the manifest's `stages`."""
         return {
             "alpha": self.alpha,
             "cap": self.cap,
-            "rows": [{"eps": p.eps, "eta": p.eta, "reach": p.reach} for p in self.points],
+            "rows": [
+                {"eps": p.eps, "eta": p.eta, "reach": p.reach, "phases": p.phases,
+                 "tile_coords": p.tile_coords}
+                for p in self.points
+            ],
             "states": self.states,
+            "coords": self.coords,
             "quad_grid": TOL.quad_grid,
             "pair_grid": PAIR_GRID,
         }
@@ -480,25 +536,25 @@ def upper_bound_curve(
     alpha = support_separation(plan)
     cap = alpha / 8.0
     pair = midpoint_pair_matrix(w)
-    priced = {}   # eta -> (reach, interaction)
+    priced = {}   # eta -> (interaction, reach, phases, tile_coords)
 
     def price(eta):
         if eta not in priced:
             gamma = GammaEta(plan, rho, chi, eta)
-            priced[eta] = (gamma.reach, interaction_energy(gamma, pair))
+            priced[eta] = (interaction_energy(gamma, pair), gamma.reach, *gamma.contracted)
         return priced[eta]
 
     # probe the smearing error coefficient at the widest admissible width
-    smear_gap = price(cap)[1] - reference
+    smear_gap = price(cap)[0] - reference
     a_coef = max(smear_gap / cap**2, 1e-12)
     c = min((n * chi.dirichlet / a_coef) ** 0.25, cap / max(eps_arr) ** 0.25)
 
     points = []
     for eps in eps_arr:
         eta = min(cap, c * eps**0.25)
-        reach, inter = price(eta)
+        inter, *counts = price(eta)
         kin = closed_form_kinetic(n, rho, chi, eta)
-        points.append(BoundPoint(eps, eta, reach, kin, inter, eps * kin + inter))
+        points.append(BoundPoint(eps, eta, *counts, kin, inter, eps * kin + inter))
 
     slope = None
     gaps = np.array([p.bound - reference for p in points])
@@ -506,5 +562,6 @@ def upper_bound_curve(
         coeffs = np.polyfit(np.log([p.eps for p in points]), np.log(gaps), 1)
         slope = float(coeffs[0])
     return BoundCurve(
-        tuple(points), float(reference), slope, float(c), float(alpha), float(cap), len(priced)
+        tuple(points), float(reference), slope, float(c), float(alpha), float(cap), len(priced),
+        int(np.unique(plan.atoms).size),
     )

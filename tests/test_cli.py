@@ -155,11 +155,16 @@ class TestArtifacts:
         assert rows[0] == "eps,eta,kinetic,interaction,bound"
         assert len(rows) == 3
         stage = json.loads((out / "manifest.json").read_text())["stages"]["semiclassical"]
-        assert set(stage) == {"alpha", "cap", "rows", "states", "quad_grid", "pair_grid"}
+        assert set(stage) == {"alpha", "cap", "rows", "states", "coords", "quad_grid", "pair_grid"}
+        assert stage["coords"] == 16   # uniform n = 2: x and x + pi share the 16 atom nodes
         assert stage["cap"] == stage["alpha"] / 8
         assert [r["eps"] for r in stage["rows"]] == [0.1, 0.01]
         assert all(r["reach"] == int(np.ceil(r["eta"] * 4096 / (2 * np.pi))) for r in stage["rows"])
         assert (stage["quad_grid"], stage["pair_grid"]) == (4096, 1024)
+        # the 1024 interaction midpoints sit at 5 phases from the z-grid; each of
+        # the 16 z-tiles contracts at most every coordinate
+        assert all(r["phases"] == 5 for r in stage["rows"])
+        assert all(0 < r["tile_coords"] <= 16 * stage["coords"] for r in stage["rows"])
         assert stage["states"] == len({r["eta"] for r in stage["rows"]} | {stage["cap"]})
 
     @pytest.mark.parametrize(

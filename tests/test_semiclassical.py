@@ -109,6 +109,22 @@ class TestDiagonalDensity:
         assert np.max(np.abs(vals)) == 0.0
 
 
+def dense_pb(g, p):
+    """PB(p - z) on the whole z-grid, at the argument (phi - o dz) / eta for node base + o."""
+    gz = g.zgrid.size
+    base = np.mod(np.rint(p / g.dz - 0.5).astype(int), gz)
+    phase = _wrap(p - g.zgrid[base])
+    o = np.mod(np.arange(gz)[None, :] - base[:, None] + gz // 2, gz) - gz // 2
+    return g.chi.chi_sq((phase[:, None] - o * g.dz) / g.eta) / g.eta
+
+
+def scattered(g, base, windows):
+    """Window rows placed on the whole z-grid, zero elsewhere."""
+    out = np.zeros((base.size, g.zgrid.size))
+    out[np.arange(base.size)[:, None], g._window_nodes(base)] = windows
+    return out
+
+
 class TestBumpWindow:
     """PB evaluated on the bump's window equals the dense (points x z-grid) matrix."""
 
@@ -118,8 +134,8 @@ class TestBumpWindow:
         nodes = z[[0, 1, 1000, 2047, z.size - 1]]
         half = np.concatenate([nodes + g.dz / 2, nodes - g.dz / 2])
         p = np.concatenate([[0.0, TWO_PI, -0.3, TWO_PI + 0.3], nodes, half])
-        dense = g.chi.chi_sq(_wrap(p[:, None] - z[None, :]) / g.eta) / g.eta
-        return np.array_equal(g._pb_outer(p), dense)
+        base, rows, phase = g._windows(p)
+        return np.array_equal(scattered(g, base, rows[phase]), dense_pb(g, p))
 
     @pytest.mark.parametrize("share", [1 / 8, 0.249])
     def test_matches_dense(self, uniform, cosine08, chi, share):
@@ -133,15 +149,30 @@ class TestBumpWindow:
         g.offsets = g.offsets[1:-1]
         assert not self.compare(g)
 
+    def test_one_bump_row_per_phase(self, monkeypatch, cosine08, chi):
+        # the 1024 midpoints sit at 5 distinct phases from the z-grid
+        plan = seidl_plan(cosine08, 2, 64)
+        g = GammaEta(plan, cosine08, chi, support_separation(plan) / 8)
+        sizes = []
+        chi_sq = Mollifier.chi_sq
+
+        def counting(self, x):
+            sizes.append(np.size(x))
+            return chi_sq(self, x)
+
+        monkeypatch.setattr(Mollifier, "chi_sq", counting)
+        g.b_matrix(semiclassical._midpoints(1024))
+        assert 0 < sum(sizes) <= 5 * g.offsets.size
+        assert g.contracted[0] <= 5
+
 
 class TestTiledBMatrix:
-    """b_matrix contracted per z-tile equals the dense PB matrix times columns.T."""
+    """b_matrix contracted per z-tile equals the dense PB matrix times the dense columns."""
 
     @staticmethod
     def dense_reference(g, xs):
-        z = g.zgrid
-        pb = g.chi.chi_sq(_wrap(xs[:, None] - z[None, :]) / g.eta) / g.eta
-        return (pb * g.dz) @ g.columns.T
+        columns = scattered(g, g.coord_base, g.coord_windows)
+        return (dense_pb(g, xs) * g.dz) @ columns.T
 
     @staticmethod
     def point_sets(g):
@@ -171,6 +202,46 @@ class TestTiledBMatrix:
             assert got.shape == ref.shape == (xs.size, g.coords.size), name
             assert np.array_equal(got == 0.0, ref == 0.0), name
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), name
+
+    def test_band_edge_coordinates(self, uniform, chi):
+        # tile 1 spans nodes TILE - reach .. 2 TILE - 1 + reach; coordinates based
+        # reach nodes outside either end still meet it through one window node
+        dz = TWO_PI / TOL.quad_grid
+        reach = 3
+        z = semiclassical._midpoints(TOL.quad_grid)
+        lo, hi = z[TILE - 2 * reach] + 0.4 * dz, z[2 * TILE - 1 + 2 * reach] - 0.4 * dz
+        plan = DiscretePlan(np.array([[lo, lo + np.pi], [hi, hi + np.pi]]), np.array([0.5, 0.5]))
+        g = GammaEta(plan, uniform, chi, (reach - 0.25) * dz)
+        assert g.reach == reach
+        xs = np.array([z[TILE] - 0.4 * dz, z[2 * TILE - 1] + 0.4 * dz])
+        got, ref = g.b_matrix(xs), self.dense_reference(g, xs)
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        assert got[0, np.searchsorted(g.coords, lo)] > 0.0
+        assert got[1, np.searchsorted(g.coords, hi)] > 0.0
+
+    def test_phase_argument_bound(self, cosine08, chi):
+        # (phi - o dz) / eta against wrap(x - z_{b+o}) / eta: equal up to rounding,
+        # with the same window zeros
+        for n, m, share in [(2, 64, 1 / 8), (2, 64, 0.249), (3, 63, 1 / 8), (3, 63, 0.249)]:
+            plan = seidl_plan(cosine08, n, m)
+            g = GammaEta(plan, cosine08, chi, share * support_separation(plan))
+            for name, xs in {**self.point_sets(g), "coords": g.coords}.items():
+                base = np.mod(np.rint(xs / g.dz - 0.5).astype(int), g.zgrid.size)
+                phase = _wrap(xs - g.zgrid[base])
+                new = (phase[:, None] - g.offsets * g.dz) / g.eta
+                old = _wrap(xs[:, None] - g.zgrid[g._window_nodes(base)]) / g.eta
+                assert np.all(np.abs(new - old) <= 8 * np.spacing(np.pi) / g.eta), name
+                assert np.array_equal(chi.chi_sq(new) == 0.0, chi.chi_sq(old) == 0.0), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_point_rejected(self, uniform, chi, bad):
+        plan = seidl_plan(uniform, 2, 64)
+        g = GammaEta(plan, uniform, chi, support_separation(plan) / 8)
+        with pytest.raises(DomainError, match=f"point {bad} at index 0 is not finite"):
+            g.b_matrix(np.array([bad, 1.0]))
+        with pytest.raises(DomainError, match=rf"point {bad} at index \(1, 0\) is not finite"):
+            g.density_at(np.array([[1.0, 4.0], [bad, 2.0]]))
 
     def test_wrapping_tile_range_rejected(self, monkeypatch, uniform, chi):
         plan = seidl_plan(uniform, 2, 64)
