@@ -1,12 +1,15 @@
 """Command-line entry point.
 
-One process per command; every command writes its data artifacts plus a
-manifest JSON (input hashes, parameters, versions, solver stages, wall
-time) into the output directory. Data outputs are byte-deterministic for
-fixed arguments; the manifest timestamp and wall time are the only
-non-reproducible fields.
+Each subcommand maps its arguments to ``(exit_code, artifacts, stages)``:
+``artifacts`` maps a file name to a JSON payload (``*.json``) or a
+``(header, rows)`` table (``*.csv``); ``stages`` is solver telemetry. ``run``
+alone writes files: it renders every artifact plus ``manifest.json`` (input
+hashes, parameters, versions, stages, wall time) first, and only then creates
+``--out``. Data outputs are byte-deterministic for fixed arguments; the
+manifest timestamp and wall time are the only non-reproducible fields.
 
 Exit codes: 0 success, 1 verdict failure (e.g. --expect mismatch), 2 errors.
+Exit 0 or 1 writes every artifact and the manifest; exit 2 writes nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -23,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .config import TWO_PI
-from .costs import check_well_ordering, load_cost
-from .errors import RingmotError
+from .costs import InverseProfile, check_well_ordering, load_cost, make_ring_cost
+from .errors import DomainError, RingmotError
 from .kantorovich import certify_potential
 from .measure1d import load_density
 from .mmot import SIMPLEX_COUNTERS, quantize, solve_mmot, symmetrized_duals
@@ -33,74 +37,65 @@ from .semiclassical import upper_bound_curve
 from .swaplab import Bipartition, reduce_to_wellordered
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+def render_artifact(name: str, payload) -> str:
+    """Strict JSON for ``*.json``; for ``*.csv`` floats as %.17g and ints as ints."""
+    if name.endswith(".csv"):
+        header, rows = payload
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, int) else f"{v:.17g}" for v in row] for row in rows)
+        return buf.getvalue()
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"cannot write {name}: {exc}") from None
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _manifest(
-    out: Path, command: str, params: dict, inputs: list, started: float, stages: dict | None = None
-) -> None:
-    params = {k: v for k, v in params.items() if k != "func"}
-    _write_json(
-        out / "manifest.json",
-        {
-            "schema": 1,
-            "command": command,
-            "parameters": params,
-            "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-            "versions": {"ringmot": __version__, "numpy": np.__version__},
-            "stages": stages or {},
-            "wall_time_s": time.time() - started,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
-    )
-
-
-def _out_dir(args) -> Path:
+def run(args) -> int:
+    """Run one subcommand; write its artifacts and manifest only if all render."""
+    started = time.perf_counter()
+    code, artifacts, stages = args.func(args)
+    inputs = [p for p in (getattr(args, "density", None), getattr(args, "cost", None)) if p]
+    artifacts["manifest.json"] = {
+        "schema": 1,
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k != "func"},
+        "inputs": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
+        "versions": {"ringmot": __version__, "numpy": np.__version__},
+        "stages": stages,
+        "wall_time_s": time.perf_counter() - started,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    }
+    texts = {name: render_artifact(name, payload) for name, payload in artifacts.items()}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, text in texts.items():
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    return code
 
 
-def cmd_check_wellordering(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_check_wellordering(args):
     model = load_cost(args.cost)
-    report = check_well_ordering(
-        model, grid_size=args.grid, strict=args.strict, seed=args.seed
-    )
-    _write_json(out / "report.json", report.to_json())
-    _manifest(out, "check-wellordering", vars(args), [args.cost], started)
+    report = check_well_ordering(model, grid_size=args.grid, strict=args.strict, seed=args.seed)
+    code = 0
     if args.expect and report.verdict != args.expect:
         print(f"expected {args.expect}, got {report.verdict}", file=sys.stderr)
-        return 1
-    return 0
+        code = 1
+    return code, {"report.json": report.to_json()}, {}
 
 
-def cmd_seidl_plan(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_seidl_plan(args):
     rho, _ = load_density(args.density)
     plan = seidl_plan(rho, args.n, args.m, symmetrize=args.symmetrize)
-    plan.to_csv(out / "plan.csv")
     summary = {"schema": 1, "n": args.n, "m": args.m, "atoms": plan.atoms.shape[0]}
-    inputs = [args.density]
     if args.cost:
         summary["cost"] = plan_cost(plan, load_cost(args.cost))
-        inputs.append(args.cost)
-    _write_json(out / "summary.json", summary)
-    _manifest(out, "seidl-plan", vars(args), inputs, started)
-    return 0
+    return 0, {"plan.csv": plan.table(), "summary.json": summary}, {}
 
 
-def cmd_swap_demo(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_swap_demo(args):
     members = tuple(int(v) for v in args.members.split(","))
     n = len(members)
     a = Bipartition(n, members)
@@ -108,95 +103,50 @@ def cmd_swap_demo(args) -> int:
         points = np.array([float(v) for v in args.points.split(",")])
     else:
         points = np.arange(1, 2 * n + 1) * (TWO_PI / (2 * n + 1))
-    w = load_cost(args.cost) if args.cost else _default_ring_cost()
-    trace = reduce_to_wellordered(a, points, w)
-    (out / "trace.json").write_text(trace.dumps(), encoding="utf-8")
-    _manifest(out, "swap-demo", vars(args), [args.cost] if args.cost else [], started)
-    return 0
+    w = load_cost(args.cost) if args.cost else make_ring_cost(InverseProfile())
+    return 0, {"trace.json": reduce_to_wellordered(a, points, w).to_json()}, {}
 
 
-def _default_ring_cost():
-    from .costs import InverseProfile, make_ring_cost
-
-    return make_ring_cost(InverseProfile())
-
-
-def cmd_mmot_solve(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_mmot_solve(args):
     rho, _ = load_density(args.density)
     w = load_cost(args.cost)
     sol = solve_mmot(quantize(rho, args.m), args.n, w)
     result = {"schema": 1, "status": sol.status, "value": None, "iterations": sol.iterations}
+    artifacts = {"result.json": result}
     if sol.status == "optimal":
         result.update(value=sol.value, plan_csv="plan.csv", duals_csv="duals.csv")
-        sol.plan.to_csv(out / "plan.csv")
         v = symmetrized_duals(sol)
-        with open(out / "duals.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["atom", "x"] + [f"dual_{i + 1}" for i in range(args.n)] + ["symmetrized"]
-            )
-            for j, x in enumerate(sol.marginal.atoms):
-                writer.writerow(
-                    [j, f"{x:.17g}"]
-                    + [f"{sol.duals[i, j]:.17g}" for i in range(args.n)]
-                    + [f"{v[j]:.17g}"]
-                )
-    _write_json(out / "result.json", result)
+        header = ["atom", "x"] + [f"dual_{i + 1}" for i in range(args.n)] + ["symmetrized"]
+        rows = [[j, x, *sol.duals[:, j], v[j]] for j, x in enumerate(sol.marginal.atoms)]
+        artifacts.update({"plan.csv": sol.plan.table(), "duals.csv": (header, rows)})
     simplex = {key: getattr(sol, key) for key in SIMPLEX_COUNTERS}
-    _manifest(out, "mmot-solve", vars(args), [args.density, args.cost], started, {"simplex": simplex})
-    return 0 if sol.status == "optimal" else 1
+    return (0 if sol.status == "optimal" else 1), artifacts, {"simplex": simplex}
 
 
-def cmd_kantorovich(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_kantorovich(args):
     rho, _ = load_density(args.density)
     w = load_cost(args.cost)
     cert = certify_potential(rho, w, args.n, grid_size=args.grid, m=args.m)
-    with open(out / "potential.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "v"])
-        for x, v in zip(cert.potential.grid, cert.potential.values):
-            writer.writerow([f"{x:.17g}", f"{v:.17g}"])
-    _write_json(out / "certificate.json", cert.to_json())
-    _manifest(
-        out, "kantorovich", vars(args), [args.density, args.cost], started,
-        {"kantorovich": cert.stage()},
-    )
-    return 0 if cert.passed() else 1
+    artifacts = {
+        "potential.csv": (["x", "v"], list(zip(cert.potential.grid, cert.potential.values))),
+        "certificate.json": cert.to_json(),
+    }
+    return (0 if cert.passed() else 1), artifacts, {"kantorovich": cert.stage()}
 
 
-def cmd_semiclassical(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_semiclassical(args):
     rho, _ = load_density(args.density)
     w = load_cost(args.cost)
     eps = [float(v) for v in args.eps.split(",")]
     curve = upper_bound_curve(rho, w, args.n, eps, m=args.m)
-    with open(out / "curve.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "eta", "kinetic", "interaction", "bound"])
-        for p in curve.points:
-            writer.writerow(
-                [f"{p.eps:.17g}", f"{p.eta:.17g}", f"{p.kinetic:.17g}",
-                 f"{p.interaction:.17g}", f"{p.bound:.17g}"]
-            )
-    _write_json(
-        out / "slope.json",
-        {
-            "schema": 1,
-            "reference": curve.reference,
-            "slope": curve.slope,
-            "eta_coefficient": curve.eta_coefficient,
-        },
-    )
-    _manifest(
-        out, "semiclassical", vars(args), [args.density, args.cost], started,
-        {"semiclassical": curve.stage()},
-    )
-    return 0
+    rows = [(p.eps, p.eta, p.kinetic, p.interaction, p.bound) for p in curve.points]
+    slope = {"schema": 1, "reference": curve.reference, "slope": curve.slope,
+             "eta_coefficient": curve.eta_coefficient}
+    artifacts = {
+        "curve.csv": (["eps", "eta", "kinetic", "interaction", "bound"], rows),
+        "slope.json": slope,
+    }
+    return 0, artifacts, {"semiclassical": curve.stage()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +214,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return run(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)
         return 2

@@ -461,6 +461,8 @@ def certify_potential(
     from .costs import support_thresholds, truncate
     from .mmot import SIMPLEX_COUNTERS, quantize, solve_mmot, symmetrized_duals
 
+    if grid_size < 3:  # the inclusive grid holds 0 and 2*pi: one ring point at size 2
+        raise DomainError(f"grid_size = {grid_size} is below 3; the grid needs two ring points")
     thresholds = support_thresholds(rho, w, _auto_radius(rho, n), n)
     w_h = truncate(w, thresholds.h)
     marginal = quantize(rho, m)

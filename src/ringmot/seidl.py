@@ -85,12 +85,10 @@ class DiscretePlan:
         weights = np.tile(self.weights / factorial(n), len(perms))
         return DiscretePlan(atoms, weights)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x_{i + 1}" for i in range(self.n)] + ["weight"])
-            for atom, wt in zip(self.atoms, self.weights):
-                writer.writerow([f"{v:.17g}" for v in atom] + [f"{wt:.17g}"])
+    def table(self) -> tuple[list, list]:
+        """CSV header ``x_1 .. x_n, weight`` and one row per atom; read back by `plan_from_csv`."""
+        header = [f"x_{i + 1}" for i in range(self.n)] + ["weight"]
+        return header, np.column_stack([self.atoms, self.weights]).tolist()
 
 
 def plan_from_csv(path) -> DiscretePlan:

@@ -11,7 +11,6 @@ Indices follow the 1-based convention {1, ..., 2n}.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -197,9 +196,6 @@ class ReductionTrace:
             "terminal": self.terminal,
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-
 
 def _record(a: Bipartition, x, w) -> TraceStep:
     f = cumulative_f(a)
@@ -216,6 +212,9 @@ def reduce_to_wellordered(a: Bipartition, x=None, w: CostModel | None = None) ->
     """
     if x is not None:
         x = np.asarray(x, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise DomainError(f"positions must be finite: index {bad[0]} holds {x[bad[0]]}")
         if np.any(np.diff(x) < 0):
             raise DomainError("positions must be sorted")
     initial = _record(a, x, w)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,17 @@ def run(args):
 
 def data_files(out: Path):
     return sorted(p for p in out.iterdir() if p.name != "manifest.json")
+
+
+def written(out: Path):
+    return sorted(p.name for p in out.iterdir()) if out.exists() else []
+
+
+def strict_json(path: Path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestExitCodes:
@@ -63,17 +75,30 @@ class TestExitCodes:
         code = run(["mmot-solve", "--density", specs["density"], "--cost", specs["cost"],
                     "--n", "3", "--m", "2", "--out", str(out)])
         assert code == 1
-
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        result = json.loads((out / "result.json").read_text(), parse_constant=reject)
+        result = strict_json(out / "result.json")
         assert result["status"] == "infeasible"
         assert result["value"] is None
         for key, name in result.items():
             if key.endswith("_csv"):
                 assert (out / name).exists(), name
         assert not (out / "plan.csv").exists() and not (out / "duals.csv").exists()
+
+    def test_unrenderable_artifact_writes_nothing(self, tmp_path, capsys):
+        # coincident points under the ring cost give an infinite paired cost
+        out = tmp_path / "coincident"
+        code = run(["swap-demo", "--members", "1,2", "--points", "1,1,2,3", "--out", str(out)])
+        assert code == 2
+        assert "trace.json" in capsys.readouterr().err
+        assert written(out) == []
+
+    @pytest.mark.parametrize("grid", [0, 1, 2])
+    def test_kantorovich_grid_below_three(self, specs, tmp_path, capsys, grid):
+        out = tmp_path / "kant"
+        code = run(["kantorovich", "--density", specs["density"], "--cost", specs["cost"],
+                    "--grid", str(grid), "--out", str(out)])
+        assert code == 2
+        assert f"grid_size = {grid}" in capsys.readouterr().err
+        assert written(out) == []
 
     def test_guard_violation(self, specs, tmp_path, capsys):
         code = run(["mmot-solve", "--density", specs["density"], "--cost", specs["cost"],
@@ -98,6 +123,28 @@ class TestArtifacts:
         assert plan.atoms.shape == (4, 2)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cost"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 9), (4, 8)])
+    def test_symmetrized_plan(self, specs, tmp_path, n, m):
+        density = tmp_path / "cosine.json"
+        density.write_text(json.dumps(GridDensity.cosine().to_spec()))
+        args = ["seidl-plan", "--density", str(density), "--n", str(n), "--m", str(m),
+                "--cost", specs["cost"]]
+        plain, sym = tmp_path / "plain", tmp_path / "sym"
+        assert run(args + ["--out", str(plain)]) == 0
+        assert run(args + ["--symmetrize", "--out", str(sym)]) == 0
+        base, full = plan_from_csv(plain / "plan.csv"), plan_from_csv(sym / "plan.csv")
+        rows = math.factorial(n) * m
+        assert full.atoms.shape == (rows, n)
+        np.testing.assert_allclose(full.weights, 1.0 / rows, rtol=1e-15, atol=0)
+        # coordinate k of the n! permutations takes each plain column (n-1)! times
+        everything = np.sort(np.tile(base.atoms.ravel(), math.factorial(n - 1)))
+        for k in range(n):
+            assert np.array_equal(np.sort(full.atoms[:, k]), everything), k
+        summary = json.loads((sym / "summary.json").read_text())
+        assert summary["atoms"] == rows
+        plain_cost = json.loads((plain / "summary.json").read_text())["cost"]
+        assert summary["cost"] == pytest.approx(plain_cost, rel=1e-12, abs=0)
 
     def test_mmot_outputs(self, specs, tmp_path):
         out = tmp_path / "mmot"
@@ -235,6 +282,9 @@ class TestDeterminism:
         assert [p.name for p in files1] == [p.name for p in files2]
         for p1, p2 in zip(files1, files2):
             assert p1.read_bytes() == p2.read_bytes(), p1.name
+        for path in [*files1, out1 / "manifest.json"]:
+            if path.suffix == ".json":
+                strict_json(path)
         # manifests agree up to timing fields
         m1 = json.loads((out1 / "manifest.json").read_text())
         m2 = json.loads((out2 / "manifest.json").read_text())

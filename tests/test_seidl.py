@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringmot.cli import render_artifact
 from ringmot.costs import LinearProfile, make_ring_cost
 from ringmot.errors import ConstructionError, DomainError
 from ringmot.measure1d import GridDensity
@@ -92,7 +93,8 @@ class TestPlan:
     def test_csv_roundtrip(self, uniform, tmp_path):
         plan = seidl_plan(uniform, 2, 4)
         path = tmp_path / "plan.csv"
-        plan.to_csv(path)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(render_artifact("plan.csv", plan.table()))
         again = plan_from_csv(path)
         assert np.array_equal(again.atoms, plan.atoms)
         assert np.array_equal(again.weights, plan.weights)

@@ -152,6 +152,13 @@ class TestReduction:
         assert drop == pytest.approx(before - after, abs=1e-12)
         assert drop > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_positions_rejected(self, ring_inverse, bad):
+        # NaN compares False against its neighbours, so sortedness alone lets it through
+        x = np.array([1.0, 2.0, bad, 3.0])
+        with pytest.raises(DomainError, match=f"index 2 holds {bad}"):
+            reduce_to_wellordered(Bipartition(2, (1, 2)), x, ring_inverse)
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
