@@ -34,7 +34,6 @@ from .measure1d import load_density
 from .mmot import SIMPLEX_COUNTERS, quantize, solve_mmot, symmetrized_duals
 from .seidl import plan_cost, seidl_plan
 from .semiclassical import upper_bound_curve
-from .swaplab import Bipartition, reduce_to_wellordered
 
 
 def render_artifact(name: str, payload) -> str:
@@ -96,6 +95,9 @@ def cmd_seidl_plan(args):
 
 
 def cmd_swap_demo(args):
+    # imported here: no other subcommand needs swaplab, so the others skip its import
+    from .swaplab import Bipartition, reduce_to_wellordered
+
     members = tuple(int(v) for v in args.members.split(","))
     n = len(members)
     a = Bipartition(n, members)

@@ -4,11 +4,10 @@ Every tolerance used by a contract check lives here so that tests and
 library code agree on the budgets.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     # measure1d
     mass_tol: float = 1e-12          # |integral of density - 1|
     concentration_windows: int = 4096

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ def torus_distance(x, y):
 # -- radial / even profiles ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class InverseProfile:
+class InverseProfile(NamedTuple):
     """g(d) = scale / d, +inf at d = 0."""
 
     scale: float = 1.0
@@ -59,8 +59,7 @@ class InverseProfile:
         return {"kind": "inverse", "params": {"scale": self.scale}}
 
 
-@dataclass(frozen=True)
-class ExpProfile:
+class ExpProfile(NamedTuple):
     """g(d) = scale * exp(-rate * d)."""
 
     rate: float = 1.0
@@ -73,8 +72,7 @@ class ExpProfile:
         return {"kind": "exp", "params": {"rate": self.rate, "scale": self.scale}}
 
 
-@dataclass(frozen=True)
-class LinearProfile:
+class LinearProfile(NamedTuple):
     """g(d) = intercept - slope * d."""
 
     intercept: float
@@ -87,8 +85,7 @@ class LinearProfile:
         return {"kind": "linear", "params": {"intercept": self.intercept, "slope": self.slope}}
 
 
-@dataclass(frozen=True)
-class PowerProfile:
+class PowerProfile(NamedTuple):
     """g(d) = scale * d**exponent; negative exponents blow up at d = 0."""
 
     exponent: float
@@ -105,8 +102,7 @@ class PowerProfile:
         return {"kind": "power", "params": {"exponent": self.exponent, "scale": self.scale}}
 
 
-@dataclass(frozen=True)
-class TableProfile:
+class TableProfile(NamedTuple):
     """Piecewise-linear profile through (xs, ys); queries must stay in range."""
 
     xs: tuple
@@ -536,8 +532,7 @@ def check_translation_invariant_criterion(
 # -- envelopes and thresholds ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Envelopes:
+class Envelopes(NamedTuple):
     """Envelopes of w by torus distance over a sample of pairs.
 
     Along the ascending sampled `distances`, `prefix_min` gives m(t) = min of
@@ -573,8 +568,7 @@ def envelopes(model: CostModel) -> Envelopes:
     return Envelopes(d[order], np.minimum.accumulate(w), np.maximum.accumulate(w[::-1])[::-1])
 
 
-@dataclass(frozen=True)
-class SupportThresholds:
+class SupportThresholds(NamedTuple):
     beta: float
     h: float
     kappa: float

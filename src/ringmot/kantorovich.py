@@ -12,6 +12,7 @@ pins the additive constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,7 @@ def density_pairing(rho: GridDensity, v: Potential) -> float:
 TILE = 8
 
 
-@dataclass(frozen=True)
-class _PairMatrix:
+class _PairMatrix(NamedTuple):
     """2 w on the grid; for n >= 3 also its TILE x TILE blocks and their minima.
 
     For the blocks the matrix is padded with +inf to nb * TILE rows and
@@ -205,8 +205,7 @@ def c_transform(v: Potential, w: CostModel, n: int) -> Potential:
     return Potential(v.grid, values)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     converged: bool
     iterations: int
     residual: float
@@ -297,8 +296,7 @@ def duality_gap(
     return float(transport_value - n * density_pairing(rho, v))
 
 
-@dataclass(frozen=True)
-class OscillationReport:
+class OscillationReport(NamedTuple):
     oscillation: float
     cost_bound: float
     passed: bool
@@ -335,8 +333,7 @@ def oscillation_bound_check(
     return OscillationReport(osc, h, bool(passed), box_passed, box_low, box_high)
 
 
-@dataclass(frozen=True)
-class UntruncateReport:
+class UntruncateReport(NamedTuple):
     passed: bool
     margin_truncated: float
     margin_full: float
@@ -377,8 +374,7 @@ def untruncate_certificate(
     return UntruncateReport(bool(passed), margin_trunc, margin_full, value_diff, gap_full)
 
 
-@dataclass(frozen=True)
-class PotentialCertificate:
+class PotentialCertificate(NamedTuple):
     potential: Potential
     margin: float
     gap: float

@@ -46,7 +46,11 @@ class DiscreteMarginal:
         object.__setattr__(self, "weights", weights)
         if atoms.ndim != 1 or atoms.shape != weights.shape:
             raise DomainError("atoms and weights must be 1d arrays of equal length")
-        if np.unique(atoms).size != atoms.size:
+        bad = np.flatnonzero(~np.isfinite(atoms))
+        if bad.size:
+            raise DomainError(f"atoms must be finite: index {bad[0]} holds {atoms[bad[0]]}")
+        ordered = np.sort(atoms)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise DomainError("atoms must be distinct")
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > TOL.mass_tol:
             raise DomainError("weights must be positive and sum to 1")

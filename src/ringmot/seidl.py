@@ -13,6 +13,7 @@ import csv
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,7 @@ from .errors import ConstructionError, DomainError
 from .measure1d import GridDensity, Segmentation
 
 
-@dataclass(frozen=True)
-class SeidlMap:
+class SeidlMap(NamedTuple):
     """Piecewise-monotone map advancing mass by 1/n around the ring."""
 
     rho: GridDensity

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -140,6 +141,17 @@ def support_separation(plan: DiscretePlan) -> float:
 TILE = 256
 
 
+def _distinct(values) -> np.ndarray:
+    """The distinct entries of a finite array, ascending, from one sort.
+
+    Plain `np.unique` would do, but it imports `numpy.ma` on first use.
+    """
+    ordered = np.sort(values, axis=None)
+    keep = np.ones(ordered.size, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def _finite_points(x) -> np.ndarray:
     """x as a float array; DomainError names its first non-finite entry and that entry's index."""
     x = np.asarray(x, dtype=float)
@@ -247,7 +259,7 @@ class GammaEta:
         coord_nodes = self._window_nodes(self.coord_base)
         out = np.zeros((xs.size, self.coords.size))
         tile_coords = 0
-        for t in np.unique(tiles):
+        for t in _distinct(tiles):
             rows = np.flatnonzero(tiles == t)
             start = t * TILE - self.reach
             # a coordinate's window meets the range iff its base lies within reach of it
@@ -329,8 +341,7 @@ def sqrt_density_dirichlet(rho: GridDensity) -> float:
     return float(np.sum(terms))
 
 
-@dataclass(frozen=True)
-class KineticReport:
+class KineticReport(NamedTuple):
     exact: float       # n (dirichlet(sqrt rho) + dirichlet(chi) / eta^2)
     quadrature: float  # direct trace over the constructed orbitals
     relative_mismatch: float
@@ -456,8 +467,7 @@ def periodicity_defect(gamma: GammaEta, num_samples: int = 16) -> float:
 # -- the upper-bound curve --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundPoint:
+class BoundPoint(NamedTuple):
     eps: float
     eta: float
     reach: int            # z-grid steps of the bump's half-width at this eta
@@ -468,8 +478,7 @@ class BoundPoint:
     bound: float
 
 
-@dataclass(frozen=True)
-class BoundCurve:
+class BoundCurve(NamedTuple):
     points: tuple
     reference: float      # transport cost of the base plan
     slope: float | None   # log-log slope of bound - reference vs eps
@@ -563,5 +572,5 @@ def upper_bound_curve(
         slope = float(coeffs[0])
     return BoundCurve(
         tuple(points), float(reference), slope, float(c), float(alpha), float(cap), len(priced),
-        int(np.unique(plan.atoms).size),
+        int(_distinct(plan.atoms).size),
     )

@@ -40,7 +40,7 @@ y.b is read only to count degenerate pivots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ from .config import TOL
 MAX_PIVOTS = 200_000   # over both phases; past it the LP reports unbounded-guard
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: str              # optimal | infeasible | unbounded-guard
     x: np.ndarray            # primal values, length N (zeros unless basic)
     y: np.ndarray            # row duals, length M

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +94,7 @@ def oscillation(f: StepFunction) -> int:
     return f.maximum - f.minimum
 
 
-@dataclass(frozen=True)
-class MaximumPoints:
+class MaximumPoints(NamedTuple):
     side: str        # "A" if f_A itself was used, "complement" otherwise
     points: tuple    # integer arguments achieving the maximum
 
@@ -116,8 +116,7 @@ def maximum_points(a: Bipartition) -> MaximumPoints:
     return MaximumPoints(side, pts)
 
 
-@dataclass(frozen=True)
-class SwapResult:
+class SwapResult(NamedTuple):
     partition: Bipartition
     terminal: bool          # input already had oscillation 1
     side: str | None        # side the maxima were taken from
@@ -157,8 +156,7 @@ def paired_cost(x, a: Bipartition, w: CostModel) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     members: tuple
     f_values: tuple
     oscillation: int
@@ -173,8 +171,7 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     n: int
     points: tuple | None
     initial: TraceStep
@@ -197,6 +194,17 @@ class ReductionTrace:
         }
 
 
+def _sorted_positions(x) -> np.ndarray:
+    """x as a float array; DomainError names the first non-finite position, or reports disorder."""
+    x = np.asarray(x, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"positions must be finite: index {bad[0]} holds {x[bad[0]]}")
+    if np.any(np.diff(x) < 0):
+        raise DomainError("positions must be sorted")
+    return x
+
+
 def _record(a: Bipartition, x, w) -> TraceStep:
     f = cumulative_f(a)
     cost = None if (x is None or w is None) else paired_cost(x, a, w)
@@ -211,12 +219,7 @@ def reduce_to_wellordered(a: Bipartition, x=None, w: CostModel | None = None) ->
     non-increasing along the trace (the caller asserts this; +inf absorbs).
     """
     if x is not None:
-        x = np.asarray(x, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(x))
-        if bad.size:
-            raise DomainError(f"positions must be finite: index {bad[0]} holds {x[bad[0]]}")
-        if np.any(np.diff(x) < 0):
-            raise DomainError("positions must be sorted")
+        x = _sorted_positions(x)
     initial = _record(a, x, w)
     steps = []
     current = a
@@ -237,8 +240,7 @@ def reduce_to_wellordered(a: Bipartition, x=None, w: CostModel | None = None) ->
     )
 
 
-@dataclass(frozen=True)
-class BipartitionRanking:
+class BipartitionRanking(NamedTuple):
     odd_even_minimal: bool
     odd_even_cost: float
     ranking: tuple          # (cost, members) sorted ascending, one per {A, A^c} class
@@ -251,13 +253,11 @@ def bipartition_min_check(x, w: CostModel, slack: float = 1e-9) -> BipartitionRa
     For well-ordering costs the odd/even split must come out minimal; for
     other costs the violating split is reported. Guarded at 2n <= 12.
     """
-    x = np.asarray(x, dtype=float)
+    x = _sorted_positions(x)
     if x.size % 2 != 0:
         raise DomainError("need an even number of points")
     if x.size > 12:
         raise DomainError("exhaustive enumeration guarded at 2n <= 12")
-    if np.any(np.diff(x) < 0):
-        raise DomainError("positions must be sorted")
     n = x.size // 2
     entries = []
     # one representative per complementary pair: fix index 1 inside A

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringmot
 from ringmot.cli import main
 from ringmot.costs import WELL_ORDER_GRID_GUARD
 from ringmot.measure1d import GridDensity
@@ -293,3 +297,50 @@ class TestDeterminism:
             m.pop("wall_time_s")
             m["parameters"].pop("out")
         assert m1 == m2
+
+
+# Run in a fresh interpreter: import ringmot.cli, then every subcommand but
+# swap-demo, reporting the ringmot modules and numpy.ma loaded after each phase.
+STARTUP_PROBE = """
+import json, sys
+import ringmot.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("ringmot.") or m == "numpy.ma")
+
+after_import = loaded()
+codes = [ringmot.cli.main(args) for args in json.loads(sys.argv[1])]
+print(json.dumps({"import": after_import, "codes": codes, "run": loaded()}))
+"""
+
+# the modules perfbench/tracer.py looks up in sys.modules right after import
+TRACED_MODULES = ["ringmot." + m for m in (
+    "measure1d", "costs", "seidl", "mmot", "simplex", "kantorovich", "semiclassical")]
+
+
+class TestStartup:
+    def test_command_path_skips_swaplab_and_numpy_ma(self, specs, tmp_path):
+        common = ["--density", specs["density"], "--cost", specs["cost"]]
+        commands = [
+            ["seidl-plan", *common, "--n", "2", "--m", "8"],
+            ["mmot-solve", *common, "--n", "2", "--m", "6"],
+            ["kantorovich", *common, "--n", "2", "--grid", "32", "--m", "4"],
+            ["semiclassical", *common, "--n", "2", "--eps", "1e-1,1e-2", "--m", "8"],
+            ["check-wellordering", "--cost", specs["cost"], "--grid", "16"],
+        ]
+        for k, args in enumerate(commands):
+            args += ["--out", str(tmp_path / f"out{k}")]
+        src = str(Path(ringmot.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, json.dumps(commands)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert set(TRACED_MODULES) <= set(report["import"])
+        assert "ringmot.swaplab" not in report["import"]
+        assert report["codes"] == [0] * len(commands)
+        assert "ringmot.swaplab" not in report["run"]
+        assert "numpy.ma" not in report["run"]

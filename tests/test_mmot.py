@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -45,6 +43,11 @@ class TestQuantize:
     def test_validation(self):
         with pytest.raises(DomainError):
             DiscreteMarginal(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_atoms_rejected(self, bad):
+        with pytest.raises(DomainError, match=f"index 1 holds {bad}"):
+            DiscreteMarginal(np.array([1.0, bad, 2.0]), np.full(3, 1.0 / 3.0))
 
 
 class TestSolveByHand:
@@ -104,7 +107,7 @@ class TestCertificates:
 
         def perturbed(*args, **kwargs):
             res = exact(*args, **kwargs)
-            return dataclasses.replace(res, **{field: getattr(res, field) * (1.0 + 1e-3)})
+            return res._replace(**{field: getattr(res, field) * (1.0 + 1e-3)})
 
         monkeypatch.setattr(ringmot.mmot, "solve_equality_lp", perturbed)
         with pytest.raises(StateError, match=residual):

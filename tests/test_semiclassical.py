@@ -245,7 +245,7 @@ class TestTiledBMatrix:
 
     def test_wrapping_tile_range_rejected(self, monkeypatch, uniform, chi):
         plan = seidl_plan(uniform, 2, 64)
-        monkeypatch.setattr(semiclassical, "TOL", dataclasses.replace(TOL, quad_grid=256))
+        monkeypatch.setattr(semiclassical, "TOL", TOL._replace(quad_grid=256))
         reach = int(np.ceil(0.3 / (TWO_PI / 256)))
         with pytest.raises(ConstructionError, match=f"{TILE + 2 * reach + 1}.*256"):
             GammaEta(plan, uniform, chi, 0.3)
@@ -276,6 +276,19 @@ class TestCorrelate:
     def test_reach_beyond_samples_rejected(self):
         with pytest.raises(DomainError, match="reach 9 exceeds the 8 samples"):
             semiclassical._correlate(np.ones(8), np.arange(-9, 10), np.ones(19), 1.0)
+
+
+class TestDistinct:
+    @pytest.mark.parametrize("shape", [(0,), (1,), (40,), (13, 3)])
+    def test_matches_unique(self, shape):
+        rng = np.random.default_rng(len(shape))
+        values = rng.integers(0, 6, shape).astype(float) * 0.25
+        values.flat[:1] = -0.0   # equal to 0.0, as np.unique treats it
+        got = semiclassical._distinct(values)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, np.unique(values))
+        tiles = rng.integers(0, 16, shape)
+        assert np.array_equal(semiclassical._distinct(tiles), np.unique(tiles))
 
 
 class TestMarginalIdentity:

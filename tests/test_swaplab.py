@@ -219,3 +219,10 @@ class TestBipartitionMinCheck:
     def test_guard(self, ring_inverse):
         with pytest.raises(DomainError):
             bipartition_min_check(np.sort(np.random.default_rng(0).uniform(0, 6, 14)), ring_inverse)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_positions_rejected(self, ring_inverse, bad):
+        # a NaN used to pass the sortedness check and rank every split at +inf
+        x = np.array([0.5, 1.0, bad, 3.0])
+        with pytest.raises(DomainError, match=f"index 2 holds {bad}"):
+            bipartition_min_check(x, ring_inverse)
