@@ -8,8 +8,8 @@ bounds (semiclassical).
 """
 
 from .config import TOL, TWO_PI
-from .measure1d import GridDensity, Segmentation
+from .measure1d import GridDensity
 
-__all__ = ["TOL", "TWO_PI", "GridDensity", "Segmentation"]
+__all__ = ["TOL", "TWO_PI", "GridDensity"]
 
 __version__ = "0.1.0"

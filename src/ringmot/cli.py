@@ -31,7 +31,7 @@ from .costs import InverseProfile, check_well_ordering, load_cost, make_ring_cos
 from .errors import DomainError, RingmotError
 from .kantorovich import certify_potential
 from .measure1d import load_density
-from .mmot import SIMPLEX_COUNTERS, quantize, solve_mmot, symmetrized_duals
+from .mmot import quantize, solve_mmot, symmetrized_duals
 from .seidl import plan_cost, seidl_plan
 from .semiclassical import upper_bound_curve
 
@@ -113,7 +113,8 @@ def cmd_mmot_solve(args):
     rho, _ = load_density(args.density)
     w = load_cost(args.cost)
     sol = solve_mmot(quantize(rho, args.m), args.n, w)
-    result = {"schema": 1, "status": sol.status, "value": None, "iterations": sol.iterations}
+    result = {"schema": 1, "status": sol.status, "value": None,
+              "iterations": sol.simplex["iterations"]}
     artifacts = {"result.json": result}
     if sol.status == "optimal":
         result.update(value=sol.value, plan_csv="plan.csv", duals_csv="duals.csv")
@@ -121,8 +122,7 @@ def cmd_mmot_solve(args):
         header = ["atom", "x"] + [f"dual_{i + 1}" for i in range(args.n)] + ["symmetrized"]
         rows = [[j, x, *sol.duals[:, j], v[j]] for j, x in enumerate(sol.marginal.atoms)]
         artifacts.update({"plan.csv": sol.plan.table(), "duals.csv": (header, rows)})
-    simplex = {key: getattr(sol, key) for key in SIMPLEX_COUNTERS}
-    return (0 if sol.status == "optimal" else 1), artifacts, {"simplex": simplex}
+    return (0 if sol.status == "optimal" else 1), artifacts, {"simplex": sol.simplex}
 
 
 def cmd_kantorovich(args):

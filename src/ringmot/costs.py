@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     SizeGuardError,
     ThresholdNotFoundError,
+    require_finite,
 )
 from .measure1d import GridDensity
 
@@ -102,11 +103,30 @@ class PowerProfile(NamedTuple):
         return {"kind": "power", "params": {"exponent": self.exponent, "scale": self.scale}}
 
 
-class TableProfile(NamedTuple):
-    """Piecewise-linear profile through (xs, ys); queries must stay in range."""
+class TableProfile(NamedTuple("_Table", [("xs", tuple), ("ys", tuple)])):
+    """Piecewise-linear profile through (xs, ys); queries must stay in range.
 
-    xs: tuple
-    ys: tuple
+    xs must be finite and strictly increasing and ys finite, at least two of
+    each and as many ys as xs; ConstructionError names the index that is not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, xs, ys):
+        x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+            raise ConstructionError(
+                f"table needs as many ys as xs, at least two: got {x.shape} and {y.shape}"
+            )
+        require_finite("table xs", x, ConstructionError)
+        require_finite("table ys", y, ConstructionError)
+        k = np.flatnonzero(np.diff(x) <= 0)
+        if k.size:
+            raise ConstructionError(
+                f"table xs must be strictly increasing: index {k[0] + 1} holds {x[k[0] + 1]} "
+                f"after {x[k[0]]}"
+            )
+        return super().__new__(cls, tuple(xs), tuple(ys))
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
@@ -124,7 +144,7 @@ PROFILE_KINDS = {
     "exp": lambda p: ExpProfile(**p),
     "linear": lambda p: LinearProfile(**p),
     "power": lambda p: PowerProfile(**p),
-    "table": lambda p: TableProfile(tuple(p["xs"]), tuple(p["ys"])),
+    "table": lambda p: TableProfile(p["xs"], p["ys"]),
 }
 
 
@@ -250,7 +270,9 @@ def make_graph_cost(f, g, window=(0.0, TWO_PI)) -> CostModel:
     the exchange inequality to hold; nothing checks that here, and
     `check_well_ordering` is the authority on whether it holds.
     """
-    lo, hi = window
+    lo, hi = map(float, window)
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ConstructionError(f"graph window [{lo}, {hi}] needs finite ends with lo < hi")
     span = hi - lo
     try:
         fv = np.asarray(f(np.linspace(lo, hi, 17)), dtype=float)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the finiteness check that raises one."""
+
+import numpy as np
 
 
 class RingmotError(Exception):
@@ -38,3 +40,11 @@ class RegimeError(RingmotError):
 
 class StateError(RingmotError):
     """An operation was called on an object in the wrong state."""
+
+
+def require_finite(what: str, x: np.ndarray, error: type[RingmotError]) -> None:
+    """Raise `error` naming the first non-finite entry of the array x and its index."""
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        at = tuple(int(i) for i in bad[0])
+        raise error(f"{what} must be finite: index {at[0] if len(at) == 1 else at} holds {x[at]}")

@@ -12,7 +12,7 @@ pins the additive constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .config import TOL, TWO_PI, gap_tolerance
 from .costs import CostModel
 from .errors import DomainError, SizeGuardError, StateError
 from .measure1d import GridDensity
+
+if TYPE_CHECKING:
+    from .mmot import LPSolution
 
 
 def uniform_grid(size: int) -> np.ndarray:
@@ -276,23 +279,8 @@ def feasibility_margin(v: Potential, w: CostModel, n: int) -> float:
     return float(np.min(vc - v.values))
 
 
-def duality_gap(
-    rho: GridDensity,
-    v: Potential,
-    transport_value: float,
-    n: int,
-    w: CostModel | None = None,
-    tol: float = 1e-6,
-) -> float:
-    """gap = transport_value - n <rho, v>; non-negative for feasible v.
-
-    When the cost is supplied, grid feasibility is checked first and an
-    infeasible potential is rejected.
-    """
-    if w is not None:
-        margin = feasibility_margin(v, w, n)
-        if margin < -tol:
-            raise DomainError(f"potential infeasible: margin {margin:.3e} < {-tol:.1e}")
+def duality_gap(rho: GridDensity, v: Potential, transport_value: float, n: int) -> float:
+    """gap = transport_value - n <rho, v>; non-negative for feasible v (see `feasibility_margin`)."""
     return float(transport_value - n * density_pairing(rho, v))
 
 
@@ -376,48 +364,42 @@ def untruncate_certificate(
 
 class PotentialCertificate(NamedTuple):
     potential: Potential
-    margin: float
     gap: float
-    oscillation: float
-    iterations: int
-    residual: float
-    converged: bool
     gap_tol: float
     truncation_level: float
-    cost_bound: float
+    fixed_point: ConvergenceReport
     oscillation_report: OscillationReport
     untruncate: UntruncateReport
-    lp_value_truncated: float
-    lp_value_full: float
-    fixed_point: ConvergenceReport
-    lp_truncated: dict  # mmot.SIMPLEX_COUNTERS of the two LPs
-    lp_full: dict
+    lp_truncated: LPSolution  # on the truncated cost; its duals seed the fixed point
+    lp_full: LPSolution
 
     def passed(self) -> bool:
+        fp = self.fixed_point
         return bool(
-            self.converged
-            and self.margin >= -1e-6
+            fp.converged
+            and fp.margin >= -1e-6
             and -1e-6 <= self.gap <= self.gap_tol
             and self.oscillation_report.passed
             and self.untruncate.passed
         )
 
     def to_json(self) -> dict:
+        fp, osc = self.fixed_point, self.oscillation_report
         return {
             "schema": 1,
-            "margin": self.margin,
+            "margin": fp.margin,
             "gap": self.gap,
             "gap_tol": self.gap_tol,
-            "oscillation": self.oscillation,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
+            "oscillation": osc.oscillation,
+            "iterations": fp.iterations,
+            "residual": fp.residual,
+            "converged": fp.converged,
             "truncation_level": self.truncation_level,
-            "cost_bound": self.cost_bound,
-            "box_passed": self.oscillation_report.box_passed,
+            "cost_bound": osc.cost_bound,
+            "box_passed": osc.box_passed,
             "untruncate_passed": self.untruncate.passed,
-            "lp_value_truncated": self.lp_value_truncated,
-            "lp_value_full": self.lp_value_full,
+            "lp_value_truncated": self.lp_truncated.value,
+            "lp_value_full": self.lp_full.value,
             "passed": self.passed(),
         }
 
@@ -430,8 +412,8 @@ class PotentialCertificate(NamedTuple):
             "repaired": fp.repaired,
             "margin_truncated": self.untruncate.margin_truncated,
             "margin_full": self.untruncate.margin_full,
-            "lp_truncated": self.lp_truncated,
-            "lp_full": self.lp_full,
+            "lp_truncated": self.lp_truncated.simplex,
+            "lp_full": self.lp_full.simplex,
             "tile": TILE,
             "tiles_scanned": fp.tiles_scanned,
             "tiles_total": fp.tiles_total,
@@ -444,18 +426,17 @@ def certify_potential(
     n: int,
     grid_size: int = 128,
     m: int = 8,
-    max_iters: int = 2000,
-    tol: float = 1e-6,
 ) -> PotentialCertificate:
     """Full pipeline: thresholds, truncation, LP duals, fixed point, lift.
 
     The truncation level is `support_thresholds`' h at `_auto_radius`. The LP
-    duals on the m-point quantization seed the averaged iteration on the grid;
-    the converged fixed point is certified for the truncated cost and the
-    certificate is lifted to the full cost.
+    duals on the m-point quantization seed the averaged iteration on the grid
+    (at most 2000 steps, to sup|v - v_c| <= 1e-6); the fixed point is
+    certified for the truncated cost and the certificate is lifted to the
+    full cost.
     """
     from .costs import support_thresholds, truncate
-    from .mmot import SIMPLEX_COUNTERS, quantize, solve_mmot, symmetrized_duals
+    from .mmot import quantize, solve_mmot, symmetrized_duals
 
     if grid_size < 3:  # the inclusive grid holds 0 and 2*pi: one ring point at size 2
         raise DomainError(f"grid_size = {grid_size} is below 3; the grid needs two ring points")
@@ -469,33 +450,14 @@ def certify_potential(
 
     grid = uniform_grid(grid_size)
     v0 = Potential(grid, np.interp(grid, marginal.atoms, symmetrized_duals(sol_h)))
-    v, report = averaged_iteration(v0, w_h, n, max_iters=max_iters, tol=tol)
+    v, report = averaged_iteration(v0, w_h, n, max_iters=2000)
 
     gap_tol = gap_tolerance(grid_size, m)
     gap = duality_gap(rho, v, sol_h.value, n)
-    cost_bound = n * (n - 1) * thresholds.h
-    osc_report = oscillation_bound_check(v, cost_bound, n, rho, sol_h.value)
-    unt = untruncate_certificate(
-        v, w, report.margin, rho, n, sol_h.value, sol_full.value, gap_tol, tol
-    )
+    osc_report = oscillation_bound_check(v, n * (n - 1) * thresholds.h, n, rho, sol_h.value)
+    unt = untruncate_certificate(v, w, report.margin, rho, n, sol_h.value, sol_full.value, gap_tol)
     return PotentialCertificate(
-        potential=v,
-        margin=unt.margin_truncated,
-        gap=gap,
-        oscillation=v.oscillation(),
-        iterations=report.iterations,
-        residual=report.residual,
-        converged=report.converged,
-        gap_tol=gap_tol,
-        truncation_level=thresholds.h,
-        cost_bound=cost_bound,
-        oscillation_report=osc_report,
-        untruncate=unt,
-        lp_value_truncated=sol_h.value,
-        lp_value_full=sol_full.value,
-        fixed_point=report,
-        lp_truncated={key: getattr(sol_h, key) for key in SIMPLEX_COUNTERS},
-        lp_full={key: getattr(sol_full, key) for key in SIMPLEX_COUNTERS},
+        v, gap, gap_tol, thresholds.h, report, osc_report, unt, sol_h, sol_full
     )
 
 

@@ -13,27 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL, TWO_PI
-from .errors import ConstructionError, DegenerateQuantileError, DomainError
+from .errors import ConstructionError, DegenerateQuantileError, DomainError, require_finite
 
 
 def _as_array(x):
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
-
-
-@dataclass(frozen=True)
-class Segmentation:
-    """Equal-mass boundaries d_0 < d_1 < ... < d_n covering [0, 2*pi]."""
-
-    boundaries: tuple
-    n: int
-
-    def __post_init__(self):
-        if len(self.boundaries) != self.n + 1:
-            raise ConstructionError("need n + 1 boundaries")
-        b = np.asarray(self.boundaries)
-        if not np.all(np.diff(b) > 0):
-            raise ConstructionError("boundaries must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -59,6 +44,8 @@ class GridDensity:
         object.__setattr__(self, "values", values)
         if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
             raise ConstructionError("nodes and values must be 1d arrays of equal length >= 2")
+        require_finite("density nodes", nodes, ConstructionError)
+        require_finite("density values", values, ConstructionError)
         if abs(nodes[0]) > 0 or abs(nodes[-1] - TWO_PI) > 1e-12:
             raise ConstructionError("nodes must start at 0 and end at 2*pi")
         if not np.all(np.diff(nodes) > 0):
@@ -70,7 +57,7 @@ class GridDensity:
         h = np.diff(nodes)
         seg_mass = 0.5 * (values[:-1] + values[1:]) * h
         cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
-        if abs(cum[-1] - 1.0) > TOL.mass_tol:
+        if not abs(cum[-1] - 1.0) <= TOL.mass_tol:
             raise ConstructionError(
                 f"total mass {cum[-1]!r} differs from 1 by more than {TOL.mass_tol}"
             )
@@ -166,13 +153,12 @@ class GridDensity:
         x = np.where(q_arr >= 1.0, TWO_PI, np.where(q_arr <= 0.0, 0.0, x))
         return float(x) if scalar else x
 
-    def segments(self, n: int) -> Segmentation:
-        """Boundaries d_i = quantile(i/n); each segment carries mass 1/n."""
+    def segments(self, n: int) -> tuple:
+        """Boundaries 0 = d_0 < d_1 < ... < d_n = 2*pi at d_i = quantile(i/n): mass 1/n each."""
         if n < 2:
             raise DomainError("need at least two segments")
         inner = self.quantile(np.arange(1, n) / n)
-        bounds = (0.0, *map(float, np.atleast_1d(inner)), TWO_PI)
-        return Segmentation(bounds, n)
+        return (0.0, *map(float, np.atleast_1d(inner)), TWO_PI)
 
     def mass_between(self, a, b):
         """Mass of the torus arc from a to b (counter-clockwise), endpoints in [0, 2*pi]."""
@@ -213,11 +199,13 @@ def density_from_spec(spec: dict):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed density spec: {exc}") from exc
     periodic = bool(spec.get("periodic", False))
+    require_finite("density nodes", nodes, ConstructionError)
+    require_finite("density values", values, ConstructionError)
     h = np.diff(nodes)
     if nodes.ndim != 1 or nodes.size < 2 or np.any(h <= 0):
         raise ConstructionError("density spec needs strictly increasing nodes")
     total = float(np.sum(0.5 * (values[:-1] + values[1:]) * h))
-    if total <= 0:
+    if not total > 0:
         raise ConstructionError("density spec has non-positive total mass")
     scale = 1.0 / total
     return GridDensity(nodes, values * scale, periodic), scale

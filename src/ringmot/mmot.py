@@ -20,13 +20,14 @@ certificate: phase 2 prices every cell, and the residual check still runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import TOL
 from .costs import CostModel
-from .errors import DomainError, SizeGuardError, StateError
+from .errors import DomainError, SizeGuardError, StateError, require_finite
 from .measure1d import GridDensity
 from .seidl import DiscretePlan
 from .simplex import solve_equality_lp
@@ -46,9 +47,8 @@ class DiscreteMarginal:
         object.__setattr__(self, "weights", weights)
         if atoms.ndim != 1 or atoms.shape != weights.shape:
             raise DomainError("atoms and weights must be 1d arrays of equal length")
-        bad = np.flatnonzero(~np.isfinite(atoms))
-        if bad.size:
-            raise DomainError(f"atoms must be finite: index {bad[0]} holds {atoms[bad[0]]}")
+        require_finite("atoms", atoms, DomainError)
+        require_finite("weights", weights, DomainError)
         ordered = np.sort(atoms)
         if np.any(ordered[1:] == ordered[:-1]):
             raise DomainError("atoms must be distinct")
@@ -68,14 +68,7 @@ def quantize(rho: GridDensity, m: int) -> DiscreteMarginal:
     return DiscreteMarginal(np.atleast_1d(atoms), np.full(m, 1.0 / m))
 
 
-# LPResult fields that LPSolution carries over as solver telemetry
-_LP_COUNTERS = ("iterations", "phase1_pivots", "degenerate_pivots", "lex_ties")
-# LPSolution fields written to manifest.json stages.simplex
-SIMPLEX_COUNTERS = _LP_COUNTERS + ("start",)
-
-
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     """Optimal plan, value, and per-marginal duals of the discrete problem."""
 
     status: str                      # optimal | infeasible | unbounded-guard
@@ -84,45 +77,36 @@ class LPSolution:
     duals: np.ndarray | None         # (n, m); dropped rows carry 0
     marginal: DiscreteMarginal
     n: int
-    iterations: int                  # simplex pricing passes, both phases
-    phase1_pivots: int = 0           # of those, passes in phase 1
-    degenerate_pivots: int = 0       # pivots without objective drop beyond TOL.lp_pivot_tol
-    lex_ties: int = 0                # pivots whose leaving row the lexicographic rule chose
-    start: str = "artificial"        # staircase | artificial: the simplex's first basis
-    _cell_digits: np.ndarray | None = field(default=None, repr=False)
-    _cell_costs: np.ndarray | None = field(default=None, repr=False)
-    _cell_mass: np.ndarray | None = field(default=None, repr=False)
-
-    def verify(self) -> dict:
-        """Residuals of the optimality certificate (post row-unscaling)."""
-        if self.status != "optimal":
-            raise StateError("verification requires an optimal solution")
-        digits, costs, mass = self._cell_digits, self._cell_costs, self._cell_mass
-        m = self.marginal.m
-        primal = 0.0
-        for i in range(self.n):
-            got = np.bincount(digits[:, i], weights=mass, minlength=m)
-            primal = max(primal, float(np.max(np.abs(got - self.marginal.weights))))
-        dual_at_cells = self.duals[np.arange(self.n)[None, :], digits].sum(axis=1)
-        dual_feas = float(np.max(dual_at_cells - costs))
-        support = mass > 1e-10
-        slack = float(np.max(np.abs(costs[support] - dual_at_cells[support]))) if support.any() else 0.0
-        dual_obj = float(self.n * np.dot(self.marginal.weights, self.duals.mean(axis=0)))
-        return {
-            "primal_violation": primal,
-            "dual_infeasibility": dual_feas,
-            "support_slackness": slack,
-            "duality_gap": abs(dual_obj - self.value),
-        }
+    simplex: dict                    # the manifest's stages.simplex: pivot counters and start basis
+    residuals: dict | None           # certificate residuals, each within TOL; optimal only
 
 
-# each residual of LPSolution.verify() and the Tolerances field that bounds it
+# each certificate residual and the Tolerances field that bounds it
 _RESIDUAL_BOUNDS = {
     "primal_violation": "lp_feasibility_tol",
     "dual_infeasibility": "lp_dual_tol",
     "support_slackness": "lp_dual_tol",
     "duality_gap": "lp_dual_tol",
 }
+
+
+def _residuals(marginal, n, digits, costs, mass, duals, value) -> dict:
+    """Residuals of the optimality certificate over the LP's cells (post row-unscaling)."""
+    primal = 0.0
+    for i in range(n):
+        got = np.bincount(digits[:, i], weights=mass, minlength=marginal.m)
+        primal = max(primal, float(np.max(np.abs(got - marginal.weights))))
+    dual_at_cells = duals[np.arange(n)[None, :], digits].sum(axis=1)
+    dual_feas = float(np.max(dual_at_cells - costs))
+    support = mass > 1e-10
+    slack = float(np.max(np.abs(costs[support] - dual_at_cells[support]))) if support.any() else 0.0
+    dual_obj = float(n * np.dot(marginal.weights, duals.mean(axis=0)))
+    return {
+        "primal_violation": primal,
+        "dual_infeasibility": dual_feas,
+        "support_slackness": slack,
+        "duality_gap": abs(dual_obj - value),
+    }
 
 
 def _cell_costs(marginal: DiscreteMarginal, n: int, w: CostModel):
@@ -168,9 +152,9 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     """Exact LP over the m^n joint tensor with marginal equality constraints.
 
     The simplex starts at the staircase basis when all its cells have
-    finite cost, and at the artificial basis otherwise (``sol.start``).
+    finite cost, and at the artificial basis otherwise (``sol.simplex["start"]``).
     An optimal solution is returned only if its certificate residuals
-    (``LPSolution.verify``) are within their ``TOL`` bounds; otherwise
+    (``sol.residuals``) are within their ``TOL`` bounds; otherwise
     StateError names the residual and the bound.
     """
     if n < 2:
@@ -181,8 +165,10 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
 
     digits, costs = _cell_costs(marginal, n, w)
     finite = np.isfinite(costs)
-    if not finite.any():
-        return LPSolution("infeasible", np.inf, None, None, marginal, n, 0)
+    if not finite.any():  # no column to price: the simplex never runs
+        simplex = {"iterations": 0, "phase1_pivots": 0, "degenerate_pivots": 0, "lex_ties": 0,
+                   "start": "artificial"}
+        return LPSolution("infeasible", np.inf, None, None, marginal, n, simplex, None)
     columns = np.flatnonzero(finite)  # flat cell index of each LP column, ascending
     digits = digits[finite]
     costs = costs[finite]
@@ -207,10 +193,15 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     col_coeffs = np.where(col_rows >= 0, scale[np.maximum(col_rows, 0)], 0.0)
 
     res = solve_equality_lp(col_rows, col_coeffs, costs, b * scale, start=start)
-    counters = {key: getattr(res, key) for key in _LP_COUNTERS}
-    counters["start"] = "artificial" if start is None else "staircase"
+    simplex = {
+        "iterations": res.iterations,
+        "phase1_pivots": res.phase1_pivots,
+        "degenerate_pivots": res.degenerate_pivots,
+        "lex_ties": res.lex_ties,
+        "start": "artificial" if start is None else "staircase",
+    }
     if res.status != "optimal":
-        return LPSolution(res.status, np.inf, None, None, marginal, n, **counters)
+        return LPSolution(res.status, np.inf, None, None, marginal, n, simplex, None)
 
     mass = res.x
     support = mass > 1e-12
@@ -221,26 +212,15 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     duals = np.zeros((n, m))
     duals[0, :] = y[:m]
     duals[1:, : m - 1] = y[m:].reshape(n - 1, m - 1)
-    sol = LPSolution(
-        "optimal",
-        res.objective,
-        plan,
-        duals,
-        marginal,
-        n,
-        **counters,
-        _cell_digits=digits,
-        _cell_costs=costs,
-        _cell_mass=mass,
-    )
-    for name, value in sol.verify().items():
+    residuals = _residuals(marginal, n, digits, costs, mass, duals, res.objective)
+    for name, value in residuals.items():
         bound = getattr(TOL, _RESIDUAL_BOUNDS[name])
         if not value <= bound:
             raise StateError(
                 f"LP solution fails its certificate: {name} = {value:.3e} "
                 f"exceeds TOL.{_RESIDUAL_BOUNDS[name]} = {bound:g}"
             )
-    return sol
+    return LPSolution("optimal", res.objective, plan, duals, marginal, n, simplex, residuals)
 
 
 def symmetrized_duals(sol: LPSolution) -> np.ndarray:

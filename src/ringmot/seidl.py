@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import TOL
 from .costs import CostModel
-from .errors import ConstructionError, DomainError
-from .measure1d import GridDensity, Segmentation
+from .errors import ConstructionError, DomainError, require_finite
+from .measure1d import GridDensity
 
 
 class SeidlMap(NamedTuple):
@@ -28,7 +28,6 @@ class SeidlMap(NamedTuple):
 
     rho: GridDensity
     n: int
-    segmentation: Segmentation
 
     def __call__(self, x):
         q = self.rho.cdf(x) + 1.0 / self.n
@@ -48,7 +47,7 @@ class SeidlMap(NamedTuple):
 def build_seidl_map(rho: GridDensity, n: int) -> SeidlMap:
     if n < 2:
         raise DomainError("need n >= 2 marginals")
-    return SeidlMap(rho, n, rho.segments(n))
+    return SeidlMap(rho, n)
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,8 @@ class DiscretePlan:
         object.__setattr__(self, "weights", weights)
         if atoms.shape[0] != weights.size:
             raise ConstructionError("one weight per atom required")
+        require_finite("plan atoms", atoms, ConstructionError)
+        require_finite("plan weights", weights, ConstructionError)
         if np.any(weights <= 0):
             raise ConstructionError("weights must be positive")
         if abs(weights.sum() - 1.0) > TOL.mass_tol:

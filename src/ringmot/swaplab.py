@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostModel
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, require_finite
 
 
 @dataclass(frozen=True)
@@ -197,9 +197,7 @@ class ReductionTrace(NamedTuple):
 def _sorted_positions(x) -> np.ndarray:
     """x as a float array; DomainError names the first non-finite position, or reports disorder."""
     x = np.asarray(x, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise DomainError(f"positions must be finite: index {bad[0]} holds {x[bad[0]]}")
+    require_finite("positions", x, DomainError)
     if np.any(np.diff(x) < 0):
         raise DomainError("positions must be sorted")
     return x

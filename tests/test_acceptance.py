@@ -177,20 +177,21 @@ def test_criterion_5_truncation_equivalence(uniform, cosine08, ring_inverse):
 def test_criterion_6_kantorovich_certification(uniform, ring_inverse):
     started = time.monotonic()
     cert = certify_potential(uniform, ring_inverse, 2, grid_size=128, m=8)
-    assert cert.residual <= 1e-6
-    assert cert.margin >= -1e-6
+    fp = cert.fixed_point
+    assert fp.residual <= 1e-6
+    assert fp.margin >= -1e-6
     assert cert.gap <= 10.0 / 128 + 10.0 / 8
     assert cert.gap >= -1e-9
     assert cert.oscillation_report.passed        # oscillation within the cost bound
     assert cert.oscillation_report.box_passed    # sharper normalized box
-    assert cert.oscillation <= cert.truncation_level  # pair-level check, stronger
+    assert cert.oscillation_report.oscillation <= cert.truncation_level  # pair-level check, stronger
     assert cert.untruncate.passed
     elapsed = time.monotonic() - started
     assert elapsed <= 120.0
     report(
         6,
         "kantorovich-certification",
-        f"residual {cert.residual:.1e}, margin {cert.margin:.1e}, "
+        f"residual {fp.residual:.1e}, margin {fp.margin:.1e}, "
         f"gap {cert.gap:.2e} <= {cert.gap_tol:.2f}, {elapsed:.1f}s",
     )
 

@@ -82,6 +82,12 @@ class TestGraphAndTorusCost:
     def test_torus_linear(self, torus_linear):
         assert torus_linear(0.0, 3 * np.pi / 2) == pytest.approx(np.pi / 2)
 
+    @pytest.mark.parametrize("window", [(4.0, 0.0), (1.0, 1.0), (0.0, np.inf), (np.nan, 4.0)])
+    def test_graph_window_rejected(self, window):
+        lo, hi = window
+        with pytest.raises(ConstructionError, match=rf"graph window \[{lo}, {hi}\] needs finite ends"):
+            square_diff_cost(window)
+
     def test_graph_hyperbola(self):
         w = make_graph_cost(lambda x: 1.0 / np.asarray(x, dtype=float),
                             InverseProfile(), window=(0.5, 4.0))
@@ -513,6 +519,21 @@ class TestSymmetryAndSerialization:
             profile(2.0)
         with pytest.raises(ConstructionError, match="not evaluable on"):
             make_torus_cost(profile)  # torus distances reach pi
+
+    @pytest.mark.parametrize(
+        "xs,ys,message",
+        [
+            ((0.0, 3.3, 2.0, 3.5), (3.0, 0.0, 2.0, 0.0), "xs must be strictly increasing: index 2"),
+            ((0.0, 1.0, 1.0), (1.0, 0.5, 0.0), "xs must be strictly increasing: index 2"),
+            ((0.0, np.nan, 2.0), (1.0, 0.5, 0.0), "xs must be finite: index 1"),
+            ((0.0, 1.0, 2.0), (1.0, 0.5, np.inf), "ys must be finite: index 2"),
+            ((0.0, 1.0), (1.0, 0.5, 0.0), "as many ys as xs"),
+            ((0.0,), (1.0,), "at least two"),
+        ],
+    )
+    def test_table_profile_validated(self, xs, ys, message):
+        with pytest.raises(ConstructionError, match=message):
+            TableProfile(xs, ys)
 
 
 class TestAppendixGraphCosts:

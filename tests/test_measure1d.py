@@ -73,15 +73,15 @@ class TestQuantile:
 
 class TestSegments:
     def test_uniform_halves(self, uniform):
-        assert uniform.segments(2).boundaries == pytest.approx((0, np.pi, TWO_PI))
+        assert uniform.segments(2) == pytest.approx((0, np.pi, TWO_PI))
 
     def test_uniform_quarters(self, uniform):
         expect = (0, np.pi / 2, np.pi, 3 * np.pi / 2, TWO_PI)
-        assert uniform.segments(4).boundaries == pytest.approx(expect)
+        assert uniform.segments(4) == pytest.approx(expect)
 
     def test_cosine_median_boundary(self, cosine):
         d = cosine.segments(2)
-        assert abs(cosine.cdf(d.boundaries[1]) - 0.5) <= 1e-12
+        assert abs(cosine.cdf(d[1]) - 0.5) <= 1e-12
 
     def test_needs_two(self, uniform):
         with pytest.raises(DomainError):
@@ -133,8 +133,7 @@ def test_roundtrip_and_monotone(seed):
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 7))
 def test_segment_masses(seed, n):
     rho = GridDensity.random_positive(seed)
-    seg = rho.segments(n)
-    b = np.asarray(seg.boundaries)
+    b = np.asarray(rho.segments(n))
     assert b[0] == 0.0 and b[-1] == TWO_PI
     assert np.all(np.diff(b) > 0)
     masses = rho.cdf(b[1:]) - rho.cdf(b[:-1])
@@ -162,6 +161,17 @@ class TestConstruction:
         nodes = np.array([0.0, np.pi, TWO_PI])
         with pytest.raises(ConstructionError):
             GridDensity.from_values(nodes, np.array([1.0, -0.1, 1.0]), normalize=True)
+
+    @pytest.mark.parametrize("field", ["nodes", "values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, field, bad):
+        arrays = {"nodes": np.array([0.0, np.pi, TWO_PI]), "values": np.full(3, 1.0 / TWO_PI)}
+        arrays[field][1] = bad
+        match = f"density {field} must be finite: index 1 holds {bad}"
+        with pytest.raises(ConstructionError, match=match):
+            GridDensity(arrays["nodes"], arrays["values"])
+        with pytest.raises(ConstructionError, match=match):
+            density_from_spec({k: v.tolist() for k, v in arrays.items()})
 
     def test_periodic_flag(self):
         nodes = np.array([0.0, np.pi, TWO_PI])

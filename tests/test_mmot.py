@@ -44,6 +44,10 @@ class TestQuantize:
         with pytest.raises(DomainError):
             DiscreteMarginal(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
 
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(DomainError, match="weights must be finite: index 0 holds nan"):
+            DiscreteMarginal([0.1, 0.2], [np.nan, np.nan])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_atoms_rejected(self, bad):
         with pytest.raises(DomainError, match=f"index 1 holds {bad}"):
@@ -56,7 +60,7 @@ class TestSolveByHand:
         sol = solve_mmot(marg, 2, ring_inverse)
         assert sol.status == "optimal"
         # a staircase cell lies on the infinite diagonal, so phase 1 runs
-        assert sol.start == "artificial"
+        assert sol.simplex["start"] == "artificial"
         # diagonal cells are +inf, so half the mass sits on each off-diagonal cell
         assert sol.value == pytest.approx(1.0, abs=1e-12)
         assert sorted(map(tuple, sol.plan.atoms.tolist())) == [
@@ -91,7 +95,7 @@ class TestCertificates:
     @pytest.mark.parametrize("n,m", [(2, 4), (2, 8), (3, 6)])
     def test_residuals(self, cosine, ring_inverse, n, m):
         sol = solve_mmot(quantize(cosine, m), n, ring_inverse)
-        res = sol.verify()
+        res = sol.residuals
         assert res["primal_violation"] <= 1e-9
         assert res["dual_infeasibility"] <= 1e-7
         assert res["support_slackness"] <= 1e-7
@@ -204,7 +208,7 @@ class TestOracleEquivalence:
         seidl_cost = plan_cost(seidl_plan(uniform, 2, 4), w)
         # staying put is free for an attractive cost; the half-turn plan is
         # not, so the simplex must leave the staircase it starts from
-        assert sol.start == "staircase"
+        assert sol.simplex["start"] == "staircase"
         assert sol.value == pytest.approx(0.0, abs=1e-10)
         assert seidl_cost - sol.value >= 1e-3
 
@@ -390,7 +394,7 @@ class TestStartSoundness:
             pair = ring_inverse.pair_matrix(marg.atoms)
             cost = sum(pair[cells[:, i], cells[:, j]] for i in range(n) for j in range(i + 1, n))
             assert np.all(np.isfinite(cost)), m
-        assert solve_mmot(quantize(uniform, 2 * n - 1), n, ring_inverse).start == "artificial"
+        assert solve_mmot(quantize(uniform, 2 * n - 1), n, ring_inverse).simplex["start"] == "artificial"
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("n,m,cost", [(2, 16, "ring_inverse"), (3, 12, "ring_exp2"),
@@ -403,8 +407,8 @@ class TestStartSoundness:
         monkeypatch.setattr(ringmot.mmot, "solve_equality_lp",
                             lambda *args, start=None: exact(*args))
         cold = solve_mmot(marg, n, w)
-        assert (warm.start, warm.phase1_pivots) == ("staircase", 0)
-        assert cold.phase1_pivots > 0
+        assert (warm.simplex["start"], warm.simplex["phase1_pivots"]) == ("staircase", 0)
+        assert cold.simplex["phase1_pivots"] > 0
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
 
 
@@ -420,7 +424,7 @@ class TestPivotSequence:
     def test_iterations_pinned(self, request, cosine, n, m, cost, pivots):
         sol = solve_mmot(quantize(cosine, m), n, request.getfixturevalue(cost))
         assert sol.status == "optimal"
-        assert sol.iterations == pivots
+        assert sol.simplex["iterations"] == pivots
 
     @pytest.mark.parametrize(
         "n,m,cost,degenerate,lex_ties",
@@ -433,7 +437,8 @@ class TestPivotSequence:
     )
     def test_counters_pinned(self, request, cosine, n, m, cost, degenerate, lex_ties):
         sol = solve_mmot(quantize(cosine, m), n, request.getfixturevalue(cost))
-        assert (sol.start, sol.phase1_pivots, sol.degenerate_pivots, sol.lex_ties) == (
+        s = sol.simplex
+        assert (s["start"], s["phase1_pivots"], s["degenerate_pivots"], s["lex_ties"]) == (
             "staircase", 0, degenerate, lex_ties
         )
 

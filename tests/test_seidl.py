@@ -47,7 +47,7 @@ class TestMap:
     def test_monotone_on_segments_and_conjugacy(self, seed, n):
         rho = GridDensity.random_positive(seed)
         T = build_seidl_map(rho, n)
-        b = np.asarray(T.segmentation.boundaries)
+        b = np.asarray(rho.segments(n))
         for i in range(n):
             xs = np.linspace(b[i], b[i + 1], 258)[1:-1]  # 256 interior samples
             vals = T(xs)
@@ -89,6 +89,14 @@ class TestPlan:
     def test_weights_validate(self):
         with pytest.raises(ConstructionError):
             DiscretePlan(np.array([[0.0, 1.0]]), np.array([0.5]))
+
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(ConstructionError, match="plan weights must be finite: index 0 holds nan"):
+            DiscretePlan([[0.1, 0.2]], [np.nan])
+
+    def test_non_finite_atoms_rejected(self):
+        with pytest.raises(ConstructionError, match=r"plan atoms must be finite: index \(0, 0\) holds nan"):
+            DiscretePlan([[np.nan, 0.2]], [1.0])
 
     def test_csv_roundtrip(self, uniform, tmp_path):
         plan = seidl_plan(uniform, 2, 4)
