@@ -19,7 +19,6 @@ the grid resolution so failures are reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -139,27 +138,54 @@ class TableProfile(NamedTuple("_Table", [("xs", tuple), ("ys", tuple)])):
         return {"kind": "table", "params": {"xs": list(self.xs), "ys": list(self.ys)}}
 
 
-PROFILE_KINDS = {
-    "inverse": lambda p: InverseProfile(**p),
-    "exp": lambda p: ExpProfile(**p),
-    "linear": lambda p: LinearProfile(**p),
-    "power": lambda p: PowerProfile(**p),
-    "table": lambda p: TableProfile(p["xs"], p["ys"]),
-}
+PROFILE_KINDS = {"inverse": InverseProfile, "exp": ExpProfile, "linear": LinearProfile,
+                 "power": PowerProfile, "table": TableProfile}
+
+
+def _entry(spec, key: str, what: str, of=object):
+    """spec[key]; ConstructionError names the key when spec is no JSON object, lacks it, or
+    holds a value there that is not an `of`."""
+    if not isinstance(spec, dict):
+        raise ConstructionError(f"{what} must be a JSON object, got a {type(spec).__name__}")
+    if key not in spec:
+        raise ConstructionError(f"{what} needs the key {key!r}")
+    if not isinstance(spec[key], of):
+        raise ConstructionError(f"{what} {key!r} must be a {of.__name__}, got {spec[key]!r}")
+    return spec[key]
+
+
+def _numbers(what: str, value):
+    """value if it is a JSON number or a list of them; else ConstructionError naming what."""
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConstructionError(f"{what} must be numeric, got {v!r}")
+    return value
 
 
 def profile_from_spec(spec: dict):
-    kind = spec.get("kind")
-    if kind not in PROFILE_KINDS:
+    """The profile of a JSON spec; ConstructionError names a missing key or a bad parameter."""
+    kind = _entry(spec, "kind", "profile spec")
+    if not isinstance(kind, str) or kind not in PROFILE_KINDS:
         raise ConstructionError(f"unknown profile kind {kind!r}")
-    return PROFILE_KINDS[kind](spec.get("params", {}))
+    cls, params = PROFILE_KINDS[kind], spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ConstructionError(
+            f"{kind} profile params must be a JSON object, got a {type(params).__name__}")
+    for key in cls._fields:
+        if key in params or key not in cls._field_defaults:
+            value = _entry(params, key, f"{kind} profile params")
+            _numbers(f"{kind} profile parameter {key!r}", value)
+    unknown = sorted(set(params) - set(cls._fields))
+    if unknown:
+        raise ConstructionError(f"{kind} profile has no parameter {unknown[0]!r}")
+    return cls(**params)
 
 
 # -- cost models ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(NamedTuple("_Cost", [("kind", str), ("raw", object), ("domain", tuple),
+                                     ("spec", dict), ("profile", object)])):
     """Symmetric pairwise interaction with extended-real values.
 
     A distance cost is a profile of the torus distance, w(x, y) =
@@ -170,33 +196,30 @@ class CostModel:
     exact symmetry is checked once here on 13 nodes of the domain.
     """
 
-    kind: str
-    raw: object = field(default=None, repr=False)
-    domain: tuple = (0.0, TWO_PI)
-    spec: dict = field(default_factory=dict, repr=False)
-    profile: object = field(default=None, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.raw is None) == (self.profile is None):
-            raise ConstructionError(f"{self.kind} cost needs exactly one of raw and profile")
-        if self.profile is not None:
-            if tuple(self.domain) != (0.0, TWO_PI):
-                raise ConstructionError(f"{self.kind} distance cost must live on [0, 2*pi]")
+    def __new__(cls, kind, raw=None, domain=(0.0, TWO_PI), spec=None, profile=None):
+        if (raw is None) == (profile is None):
+            raise ConstructionError(f"{kind} cost needs exactly one of raw and profile")
+        if profile is not None:
+            if tuple(domain) != (0.0, TWO_PI):
+                raise ConstructionError(f"{kind} distance cost must live on [0, 2*pi]")
             try:
-                self.profile(np.linspace(0.0, np.pi, 13))
+                profile(np.linspace(0.0, np.pi, 13))
             except Exception as exc:
-                raise ConstructionError(f"{self.kind} profile not evaluable on [0, pi]: {exc}") from exc
-            return
-        xs = np.linspace(*self.domain, 13)
-        w = np.asarray(self.raw(xs[:, None], xs[None, :]), dtype=float)
-        bad = np.argwhere(w != w.T)
-        if bad.size:
-            i, j = bad[0]
-            x, y = float(xs[i]), float(xs[j])
-            raise ConstructionError(
-                f"{self.kind} cost is not exactly symmetric: w({x!r}, {y!r}) = "
-                f"{float(w[i, j])!r} but w({y!r}, {x!r}) = {float(w[j, i])!r}"
-            )
+                raise ConstructionError(f"{kind} profile not evaluable on [0, pi]: {exc}") from exc
+        else:
+            xs = np.linspace(*domain, 13)
+            w = np.asarray(raw(xs[:, None], xs[None, :]), dtype=float)
+            bad = np.argwhere(w != w.T)
+            if bad.size:
+                i, j = bad[0]
+                x, y = float(xs[i]), float(xs[j])
+                raise ConstructionError(
+                    f"{kind} cost is not exactly symmetric: w({x!r}, {y!r}) = "
+                    f"{float(w[i, j])!r} but w({y!r}, {x!r}) = {float(w[j, i])!r}"
+                )
+        return super().__new__(cls, kind, raw, domain, {} if spec is None else spec, profile)
 
     @property
     def translation_invariant(self) -> bool:
@@ -343,21 +366,25 @@ def truncate(model: CostModel, h: float) -> CostModel:
 
 
 def cost_from_spec(spec: dict) -> CostModel:
-    kind = spec.get("kind")
+    """The cost of a JSON spec; ConstructionError names a missing key or a non-numeric value."""
+    kind = _entry(spec, "kind", "cost spec")
+    what = f"{kind} cost spec"
     if kind == "ring":
-        return make_ring_cost(profile_from_spec(spec["profile"]))
+        return make_ring_cost(profile_from_spec(_entry(spec, "profile", what)))
     if kind == "torus":
-        return make_torus_cost(profile_from_spec(spec["profile"]))
+        return make_torus_cost(profile_from_spec(_entry(spec, "profile", what)))
     if kind == "graph":
-        window = tuple(spec.get("window", (0.0, TWO_PI)))
-        return make_graph_cost(
-            profile_from_spec(spec["f"]), profile_from_spec(spec["g"]), window
-        )
+        window = _numbers("graph cost window", spec.get("window", [0.0, TWO_PI]))
+        if not isinstance(window, (list, tuple)) or len(window) != 2:
+            raise ConstructionError(f"graph cost window must be [lo, hi], got {window!r}")
+        f, g = (profile_from_spec(_entry(spec, key, what)) for key in ("f", "g"))
+        return make_graph_cost(f, g, tuple(window))
     if kind == "sum":
-        terms = [cost_from_spec(t) for t in spec["terms"]]
-        return cone_combine(terms, spec["weights"])
+        terms = [cost_from_spec(t) for t in _entry(spec, "terms", what, list)]
+        return cone_combine(terms, _numbers("sum cost weights", _entry(spec, "weights", what, list)))
     if kind == "truncated":
-        return truncate(cost_from_spec(spec["base"]), float(spec["h"]))
+        h = _numbers("truncated cost h", _entry(spec, "h", what))
+        return truncate(cost_from_spec(_entry(spec, "base", what)), float(h))
     raise ConstructionError(f"unknown cost kind {kind!r}")
 
 
@@ -369,20 +396,20 @@ def load_cost(path) -> CostModel:
 # -- well-ordering certification -----------------------------------------
 
 
-@dataclass(frozen=True)
-class WellOrderReport:
-    """Outcome of grid certification of the four-point exchange inequality."""
+class WellOrderReport(NamedTuple("_WellOrder", [
+        ("verdict", str), ("margin", float), ("counterexample", dict),
+        ("grid_size", int), ("n_random", int), ("seed", int)])):
+    """Outcome of grid certification of the four-point exchange inequality.
 
-    verdict: str  # well_ordering | violated | strictly_well_ordering
-    margin: float
-    counterexample: dict | None
-    grid_size: int
-    n_random: int
-    seed: int
+    verdict is well_ordering, violated or strictly_well_ordering.
+    """
 
-    def __post_init__(self):
-        if (self.verdict == "violated") != (self.counterexample is not None):
+    __slots__ = ()
+
+    def __new__(cls, verdict, margin, counterexample, grid_size, n_random, seed):
+        if (verdict == "violated") != (counterexample is not None):
             raise ConstructionError("counterexample present iff verdict is violated")
+        return super().__new__(cls, verdict, margin, counterexample, grid_size, n_random, seed)
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,6 @@ pins the additive constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -29,22 +28,19 @@ def uniform_grid(size: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, size)
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple("_Potential", [("grid", np.ndarray), ("values", np.ndarray)])):
     """Grid function on [0, 2*pi]."""
 
-    grid: np.ndarray
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+    def __new__(cls, grid, values):
+        grid = np.asarray(grid, dtype=float)
+        values = np.asarray(values, dtype=float)
         if grid.shape != values.shape or grid.ndim != 1:
             raise DomainError("grid and values must be 1d arrays of equal length")
         if not np.all(np.isfinite(values)):
             raise DomainError("potential values must be finite")
+        return super().__new__(cls, grid, values)
 
     @property
     def size(self) -> int:

@@ -8,7 +8,7 @@ the types are immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,27 +21,24 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
-@dataclass(frozen=True)
-class GridDensity:
+class GridDensity(NamedTuple("_Density", [
+        ("nodes", np.ndarray), ("values", np.ndarray), ("periodic", bool),
+        ("cum", np.ndarray), ("slopes", np.ndarray), ("plateaus", np.ndarray)])):
     """Piecewise-linear density with unit mass on [0, 2*pi].
 
-    nodes   -- strictly increasing abscissae, first 0, last 2*pi
-    values  -- non-negative ordinates (mass per unit length)
+    nodes    -- strictly increasing abscissae, first 0, last 2*pi
+    values   -- non-negative ordinates (mass per unit length)
     periodic -- if set, values at 0 and 2*pi must agree
+
+    Derived at construction: `cum`, the CDF at the nodes; `slopes`, the slope
+    of each linear piece; `plateaus`, the CDF levels of the zero-mass pieces.
     """
 
-    nodes: np.ndarray
-    values: np.ndarray
-    periodic: bool = False
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
-    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
-    _plateaus: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
+    def __new__(cls, nodes, values, periodic=False):
+        nodes = np.asarray(nodes, dtype=float)
+        values = np.asarray(values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
             raise ConstructionError("nodes and values must be 1d arrays of equal length >= 2")
         require_finite("density nodes", nodes, ConstructionError)
@@ -52,7 +49,7 @@ class GridDensity:
             raise ConstructionError("nodes must be strictly increasing")
         if np.any(values < 0):
             raise ConstructionError("density values must be non-negative")
-        if self.periodic and abs(values[0] - values[-1]) > 1e-12:
+        if periodic and abs(values[0] - values[-1]) > 1e-12:
             raise ConstructionError("periodic density needs equal endpoint values")
         h = np.diff(nodes)
         seg_mass = 0.5 * (values[:-1] + values[1:]) * h
@@ -62,9 +59,12 @@ class GridDensity:
                 f"total mass {cum[-1]!r} differs from 1 by more than {TOL.mass_tol}"
             )
         cum[-1] = 1.0
-        object.__setattr__(self, "_cum", cum)
-        object.__setattr__(self, "_slopes", (values[1:] - values[:-1]) / h)
-        object.__setattr__(self, "_plateaus", cum[:-1][seg_mass == 0.0])
+        slopes = (values[1:] - values[:-1]) / h
+        return super().__new__(cls, nodes, values, periodic, cum, slopes, cum[:-1][seg_mass == 0.0])
+
+    def __getnewargs__(self):
+        """Copies and pickles rebuild from the three given fields."""
+        return self.nodes, self.values, self.periodic
 
     # -- constructors ---------------------------------------------------
 
@@ -113,15 +113,26 @@ class GridDensity:
         out = np.interp(x_arr, self.nodes, self.values)
         return float(out) if scalar else out
 
+    def _piece(self, x_arr, what: str):
+        """x clipped to [0, 2*pi] and the index k of its linear piece [nodes[k], nodes[k + 1]]."""
+        if np.any(x_arr < -1e-12) or np.any(x_arr > TWO_PI + 1e-12):
+            raise DomainError(f"{what} argument outside [0, 2*pi]")
+        x_arr = np.clip(x_arr, 0.0, TWO_PI)
+        k = np.clip(np.searchsorted(self.nodes, x_arr, side="right") - 1, 0, self.nodes.size - 2)
+        return x_arr, k
+
+    def slope(self, x):
+        """Derivative of the density: the slope of the linear piece holding x."""
+        x_arr, scalar = _as_array(x)
+        out = self.slopes[self._piece(x_arr, "slope")[1]]
+        return float(out) if scalar else out
+
     def cdf(self, x):
         """Exact integral of the density over [0, x]."""
         x_arr, scalar = _as_array(x)
-        if np.any(x_arr < -1e-12) or np.any(x_arr > TWO_PI + 1e-12):
-            raise DomainError("cdf argument outside [0, 2*pi]")
-        x_arr = np.clip(x_arr, 0.0, TWO_PI)
-        k = np.clip(np.searchsorted(self.nodes, x_arr, side="right") - 1, 0, self.nodes.size - 2)
+        x_arr, k = self._piece(x_arr, "cdf")
         t = x_arr - self.nodes[k]
-        out = self._cum[k] + self.values[k] * t + 0.5 * self._slopes[k] * t * t
+        out = self.cum[k] + self.values[k] * t + 0.5 * self.slopes[k] * t * t
         out = np.clip(out, 0.0, 1.0)
         return float(out) if scalar else out
 
@@ -131,12 +142,12 @@ class GridDensity:
         if np.any(q_arr < -1e-15) or np.any(q_arr > 1 + 1e-15):
             raise DomainError("quantile argument outside [0, 1]")
         q_arr = np.clip(q_arr, 0.0, 1.0)
-        if self._plateaus.size and np.any(np.isin(q_arr, self._plateaus)):
+        if self.plateaus.size and np.any(np.isin(q_arr, self.plateaus)):
             raise DegenerateQuantileError("flat CDF plateau at the requested mass level")
-        k = np.clip(np.searchsorted(self._cum, q_arr, side="right") - 1, 0, self.nodes.size - 2)
-        dq = q_arr - self._cum[k]
+        k = np.clip(np.searchsorted(self.cum, q_arr, side="right") - 1, 0, self.nodes.size - 2)
+        dq = q_arr - self.cum[k]
         v = self.values[k]
-        s = self._slopes[k]
+        s = self.slopes[k]
         h = np.diff(self.nodes)[k]
         with np.errstate(divide="ignore", invalid="ignore"):
             # positive root of v t + s t^2 / 2 = dq, stable for small s

@@ -20,7 +20,6 @@ certificate: phase 2 prices every cell, and the residual check still runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,18 +32,14 @@ from .seidl import DiscretePlan
 from .simplex import solve_equality_lp
 
 
-@dataclass(frozen=True)
-class DiscreteMarginal:
+class DiscreteMarginal(NamedTuple("_Marginal", [("atoms", np.ndarray), ("weights", np.ndarray)])):
     """Atomic approximation of a density: distinct atoms with positive weights."""
 
-    atoms: np.ndarray
-    weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+    def __new__(cls, atoms, weights):
+        atoms = np.asarray(atoms, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         if atoms.ndim != 1 or atoms.shape != weights.shape:
             raise DomainError("atoms and weights must be 1d arrays of equal length")
         require_finite("atoms", atoms, DomainError)
@@ -54,6 +49,7 @@ class DiscreteMarginal:
             raise DomainError("atoms must be distinct")
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > TOL.mass_tol:
             raise DomainError("weights must be positive and sum to 1")
+        return super().__new__(cls, atoms, weights)
 
     @property
     def m(self) -> int:

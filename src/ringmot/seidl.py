@@ -10,7 +10,6 @@ strictly inside segments so that point is never evaluated.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 from typing import NamedTuple
@@ -50,18 +49,17 @@ def build_seidl_map(rho: GridDensity, n: int) -> SeidlMap:
     return SeidlMap(rho, n)
 
 
-@dataclass(frozen=True)
-class DiscretePlan:
-    """Sparse joint probability measure on atoms in [0, 2*pi]^n."""
+class DiscretePlan(NamedTuple("_Plan", [("atoms", np.ndarray), ("weights", np.ndarray)])):
+    """Sparse joint probability measure on atoms in [0, 2*pi]^n.
 
-    atoms: np.ndarray    # (num_atoms, n)
-    weights: np.ndarray  # positive, sums to 1
+    atoms is (num_atoms, n); weights are positive and sum to 1.
+    """
 
-    def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+    __slots__ = ()
+
+    def __new__(cls, atoms, weights):
+        atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+        weights = np.asarray(weights, dtype=float)
         if atoms.shape[0] != weights.size:
             raise ConstructionError("one weight per atom required")
         require_finite("plan atoms", atoms, ConstructionError)
@@ -70,6 +68,7 @@ class DiscretePlan:
             raise ConstructionError("weights must be positive")
         if abs(weights.sum() - 1.0) > TOL.mass_tol:
             raise ConstructionError("weights must sum to 1")
+        return super().__new__(cls, atoms, weights)
 
     @property
     def n(self) -> int:

@@ -21,7 +21,6 @@ coordinates whose windows reach that tile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
 from typing import NamedTuple
@@ -31,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import TOL, TWO_PI
 from .costs import CostModel, torus_distance
-from .errors import ConstructionError, DomainError, RegimeError
+from .errors import ConstructionError, DomainError, RegimeError, require_finite
 from .measure1d import GridDensity
 from .seidl import DiscretePlan, plan_cost, seidl_plan
 
@@ -39,35 +38,17 @@ from .seidl import DiscretePlan, plan_cost, seidl_plan
 # -- mollifier ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mollifier:
+class Mollifier(NamedTuple):
     """Even bump on [-1, 1], tabulated with linear interpolation.
 
     Normalized so the integral of chi^2 over the tabulated piecewise-linear
-    interpolant is exactly 1; the dirichlet energy of the interpolant is
-    likewise exact.
+    interpolant is exactly 1; `dirichlet`, the dirichlet energy of the
+    interpolant, is likewise exact. Built by `bump`.
     """
 
     t: np.ndarray
     values: np.ndarray
-    dirichlet: float = field(init=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.shape != v.shape or t.ndim != 1 or t.size < 3:
-            raise ConstructionError("mollifier needs matching 1d tables")
-        if abs(t[0] + 1.0) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
-            raise ConstructionError("mollifier support must be [-1, 1]")
-        if np.max(np.abs(v - v[::-1])) > 1e-12:
-            raise ConstructionError("mollifier must be even")
-        h = np.diff(t)
-        sq = np.sum(h * (v[:-1] ** 2 + v[:-1] * v[1:] + v[1:] ** 2) / 3.0)
-        if abs(sq - 1.0) > 1e-10:
-            raise ConstructionError("mollifier must satisfy integral chi^2 = 1")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "dirichlet", float(np.sum(np.diff(v) ** 2 / h)))
+    dirichlet: float
 
     @classmethod
     def bump(cls) -> "Mollifier":
@@ -78,7 +59,8 @@ class Mollifier:
             v = np.where(np.abs(t) < 1.0, np.exp(-1.0 / inner), 0.0)
         h = np.diff(t)
         sq = np.sum(h * (v[:-1] ** 2 + v[:-1] * v[1:] + v[1:] ** 2) / 3.0)
-        return cls(t, v / np.sqrt(sq))
+        v = v / np.sqrt(sq)
+        return cls(t, v, float(np.sum(np.diff(v) ** 2 / h)))
 
     def chi(self, x):
         """chi at unit scale, zero outside [-1, 1]."""
@@ -150,16 +132,6 @@ def _distinct(values) -> np.ndarray:
     keep = np.ones(ordered.size, dtype=bool)
     keep[1:] = ordered[1:] != ordered[:-1]
     return ordered[keep]
-
-
-def _finite_points(x) -> np.ndarray:
-    """x as a float array; DomainError names its first non-finite entry and that entry's index."""
-    x = np.asarray(x, dtype=float)
-    bad = np.argwhere(~np.isfinite(x))
-    if bad.size:
-        at = tuple(int(i) for i in bad[0])
-        raise DomainError(f"point {x[at]} at index {at[0] if len(at) == 1 else at} is not finite")
-    return x
 
 
 class GammaEta:
@@ -245,7 +217,8 @@ class GammaEta:
         `contracted` records the distinct phases among xs and the coordinate
         columns contracted, summed over tiles.
         """
-        xs = _finite_points(xs)
+        xs = np.asarray(xs, dtype=float)
+        require_finite("points", xs, DomainError)
         gz = self.zgrid.size
         width = TILE + 2 * self.reach
         base, rows_pb, phase = self._windows(xs)
@@ -275,7 +248,8 @@ class GammaEta:
 
     def density_at(self, tuples) -> np.ndarray:
         """Diagonal n-particle density at the given coordinate tuples."""
-        x = _finite_points(np.atleast_2d(np.asarray(tuples, dtype=float)))
+        x = np.atleast_2d(np.asarray(tuples, dtype=float))
+        require_finite("points", x, DomainError)
         if x.shape[1] != self.n:
             raise DomainError("tuples must have n coordinates")
         pts, inv = np.unique(x, return_inverse=True)
@@ -369,8 +343,7 @@ def kinetic_energy(gamma: GammaEta) -> KineticReport:
     zs = gamma.zgrid
     dz = gamma.dz
     rho_s = rho.density(zs)
-    k = np.clip(np.searchsorted(rho.nodes, zs, side="right") - 1, 0, rho._slopes.size - 1)
-    drho = rho._slopes[k]
+    drho = rho.slope(zs)
     dsqrt_sq = drho**2 / (4.0 * rho_s)
 
     offsets = gamma.offsets
@@ -450,8 +423,7 @@ def periodicity_defect(gamma: GammaEta, num_samples: int = 16) -> float:
     def phi_and_slope(x, z):
         x = np.mod(x, TWO_PI)
         r = rho.density(x)
-        k = np.clip(np.searchsorted(rho.nodes, x, side="right") - 1, 0, rho._slopes.size - 1)
-        dr = rho._slopes[k]
+        dr = rho.slope(x)
         u = _wrap(x - z) / eta
         val = np.sqrt(r) * chi.chi(u) / np.sqrt(eta)
         slope = (dr / (2.0 * np.sqrt(r))) * chi.chi(u) / np.sqrt(eta) + np.sqrt(r) * chi.chi_prime(u) / eta**1.5

@@ -11,7 +11,6 @@ Indices follow the 1-based convention {1, ..., 2n}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -21,20 +20,18 @@ from .costs import CostModel
 from .errors import ConstructionError, DomainError, require_finite
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple("_Bipartition", [("n", int), ("members", tuple)])):
     """Subset A of {1, ..., 2n} with |A| = n, stored sorted."""
 
-    n: int
-    members: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        members = tuple(sorted(int(v) for v in self.members))
-        object.__setattr__(self, "members", members)
-        if len(members) != self.n or len(set(members)) != self.n:
+    def __new__(cls, n, members):
+        members = tuple(sorted(int(v) for v in members))
+        if len(members) != n or len(set(members)) != n:
             raise ConstructionError("need exactly n distinct members")
-        if members and (members[0] < 1 or members[-1] > 2 * self.n):
+        if members and (members[0] < 1 or members[-1] > 2 * n):
             raise ConstructionError("members must lie in 1..2n")
+        return super().__new__(cls, n, members)
 
     def complement(self) -> "Bipartition":
         universe = set(range(1, 2 * self.n + 1))
@@ -55,19 +52,18 @@ def even_bipartition(n: int) -> Bipartition:
     return Bipartition(n, tuple(range(2, 2 * n + 1, 2)))
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(NamedTuple("_Step", [("values", tuple)])):
     """Values of the prefix counting function at integer arguments 0..2n."""
 
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = tuple(int(x) for x in self.values)
-        object.__setattr__(self, "values", v)
+    def __new__(cls, values):
+        v = tuple(int(x) for x in values)
         if not v or v[0] != 0 or v[-1] != 0:
             raise ConstructionError("prefix function must start and end at 0")
         if any(abs(b - a) != 1 for a, b in zip(v[:-1], v[1:])):
             raise ConstructionError("jumps must have size exactly 1")
+        return super().__new__(cls, v)
 
     def negated(self) -> "StepFunction":
         return StepFunction(tuple(-x for x in self.values))

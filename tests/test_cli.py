@@ -133,6 +133,29 @@ class TestExitCodes:
         assert "table xs must be strictly increasing: index 2 holds 2.0 after 3.3" in err
         assert written(out) == []
 
+    @pytest.mark.parametrize("spec, named", [
+        ({"kind": "ring"}, "ring cost spec needs the key 'profile'"),
+        ({"kind": "torus", "profile": {"kind": "table", "params": {"ys": [1.0, 0.0]}}},
+         "table profile params needs the key 'xs'"),
+        ({"kind": "graph", "window": [0, None], "f": {"kind": "exp"}, "g": {"kind": "exp"}},
+         "graph cost window must be numeric, got None"),
+        ({"kind": "ring", "profile": {"kind": "inverse", "params": {"scal": 1.0}}},
+         "inverse profile has no parameter 'scal'"),
+        ({"kind": "ring", "profile": {"kind": "exp", "params": {"rate": "fast"}}},
+         "exp profile parameter 'rate' must be numeric, got 'fast'"),
+        ({"kind": "sum", "terms": [{"kind": "ring", "profile": {"kind": "inverse"}}], "weights": 1},
+         "sum cost spec 'weights' must be a list, got 1"),
+        ([{"kind": "ring", "profile": {"kind": "inverse"}}], "cost spec must be a JSON object, got a list"),
+    ], ids=["no-profile", "table-no-xs", "window-null", "unknown-param", "non-numeric",
+            "scalar-weights", "list"])
+    def test_malformed_cost_spec(self, tmp_path, capsys, spec, named):
+        cost = tmp_path / "cost.json"
+        cost.write_text(json.dumps(spec))
+        out = tmp_path / "wo"
+        assert run(["check-wellordering", "--cost", str(cost), "--grid", "16", "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert written(out) == []
+
     def test_wellordering_grid_guard(self, specs, tmp_path, capsys):
         size = WELL_ORDER_GRID_GUARD + 1
         code = run(["check-wellordering", "--cost", specs["cost"], "--grid", str(size),
@@ -329,7 +352,8 @@ import json, sys
 import ringmot.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("ringmot.") or m == "numpy.ma")
+    return sorted(m for m in sys.modules
+                  if m.startswith("ringmot.") or m in ("numpy.ma", "dataclasses"))
 
 after_import = loaded()
 codes = [ringmot.cli.main(args) for args in json.loads(sys.argv[1])]
@@ -364,6 +388,8 @@ class TestStartup:
         report = json.loads(proc.stdout.splitlines()[-1])
         assert set(TRACED_MODULES) <= set(report["import"])
         assert "ringmot.swaplab" not in report["import"]
+        assert "dataclasses" not in report["import"]
         assert report["codes"] == [0] * len(commands)
         assert "ringmot.swaplab" not in report["run"]
         assert "numpy.ma" not in report["run"]
+        assert "dataclasses" not in report["run"]

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -38,6 +39,18 @@ class TestCdf:
             uniform.cdf(-0.5)
         with pytest.raises(DomainError):
             uniform.cdf(7.0)
+
+
+class TestSlope:
+    def test_slope_of_the_piece_the_cdf_uses(self, cosine):
+        x = np.concatenate((cosine.nodes, np.linspace(0.0, TWO_PI, 97)))
+        k = np.clip(np.searchsorted(cosine.nodes, x, side="right") - 1, 0, cosine.nodes.size - 2)
+        assert np.array_equal(cosine.slope(x), np.diff(cosine.values)[k] / np.diff(cosine.nodes)[k])
+        assert isinstance(cosine.slope(1.0), float)
+
+    def test_domain_error(self, uniform):
+        with pytest.raises(DomainError, match="slope argument outside"):
+            uniform.slope(7.0)
 
 
 class TestQuantile:
@@ -172,6 +185,12 @@ class TestConstruction:
             GridDensity(arrays["nodes"], arrays["values"])
         with pytest.raises(ConstructionError, match=match):
             density_from_spec({k: v.tolist() for k, v in arrays.items()})
+
+    def test_immutable_and_picklable(self, cosine):
+        with pytest.raises(AttributeError):
+            cosine.values = cosine.values[::-1]
+        again = pickle.loads(pickle.dumps(cosine))
+        assert np.array_equal(again.cum, cosine.cum) and np.array_equal(again.slopes, cosine.slopes)
 
     def test_periodic_flag(self):
         nodes = np.array([0.0, np.pi, TWO_PI])

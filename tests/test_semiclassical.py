@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -47,6 +45,7 @@ class TestMollifier:
         assert abs(sq - 1.0) <= 1e-10
 
     def test_even_and_supported(self, chi):
+        assert chi.t[0] == -1.0 and chi.t[-1] == 1.0
         assert np.max(np.abs(chi.values - chi.values[::-1])) <= 1e-12
         assert chi.chi(1.5) == 0.0 and chi.chi(-1.5) == 0.0
 
@@ -238,9 +237,9 @@ class TestTiledBMatrix:
     def test_non_finite_point_rejected(self, uniform, chi, bad):
         plan = seidl_plan(uniform, 2, 64)
         g = GammaEta(plan, uniform, chi, support_separation(plan) / 8)
-        with pytest.raises(DomainError, match=f"point {bad} at index 0 is not finite"):
+        with pytest.raises(DomainError, match=f"points must be finite: index 0 holds {bad}"):
             g.b_matrix(np.array([bad, 1.0]))
-        with pytest.raises(DomainError, match=rf"point {bad} at index \(1, 0\) is not finite"):
+        with pytest.raises(DomainError, match=rf"points must be finite: index \(1, 0\) holds {bad}"):
             g.density_at(np.array([[1.0, 4.0], [bad, 2.0]]))
 
     def test_wrapping_tile_range_rejected(self, monkeypatch, uniform, chi):
@@ -386,7 +385,7 @@ class TestUpperBound:
             shapes.append(np.shape(d))
             return truncated_ring.profile(d)
 
-        counting = dataclasses.replace(truncated_ring, profile=profile)
+        counting = truncated_ring._replace(profile=profile)
         upper_bound_curve(uniform, counting, 2, [1e-1, 1e-2, 1e-3, 1e-4], m=16)
         assert shapes.count((1024,)) == 1
         assert (1024, 1024) not in shapes
