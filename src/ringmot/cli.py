@@ -31,8 +31,8 @@ from .costs import InverseProfile, check_well_ordering, load_cost, make_ring_cos
 from .errors import DomainError, RingmotError
 from .kantorovich import certify_potential
 from .measure1d import load_density
-from .mmot import quantize, solve_mmot, symmetrized_duals
-from .seidl import plan_cost, seidl_plan
+from .mmot import solve_mmot, symmetrized_duals
+from .seidl import plan_cost, quantize, seidl_plan
 from .semiclassical import upper_bound_curve
 
 
@@ -86,7 +86,7 @@ def cmd_check_wellordering(args):
 
 
 def cmd_seidl_plan(args):
-    rho, _ = load_density(args.density)
+    rho = load_density(args.density)
     plan = seidl_plan(rho, args.n, args.m, symmetrize=args.symmetrize)
     summary = {"schema": 1, "n": args.n, "m": args.m, "atoms": plan.atoms.shape[0]}
     if args.cost:
@@ -110,7 +110,7 @@ def cmd_swap_demo(args):
 
 
 def cmd_mmot_solve(args):
-    rho, _ = load_density(args.density)
+    rho = load_density(args.density)
     w = load_cost(args.cost)
     sol = solve_mmot(quantize(rho, args.m), args.n, w)
     result = {"schema": 1, "status": sol.status, "value": None,
@@ -126,7 +126,7 @@ def cmd_mmot_solve(args):
 
 
 def cmd_kantorovich(args):
-    rho, _ = load_density(args.density)
+    rho = load_density(args.density)
     w = load_cost(args.cost)
     cert = certify_potential(rho, w, args.n, grid_size=args.grid, m=args.m)
     artifacts = {
@@ -137,7 +137,7 @@ def cmd_kantorovich(args):
 
 
 def cmd_semiclassical(args):
-    rho, _ = load_density(args.density)
+    rho = load_density(args.density)
     w = load_cost(args.cost)
     eps = [float(v) for v in args.eps.split(",")]
     curve = upper_bound_curve(rho, w, args.n, eps, m=args.m)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .config import TOL, TWO_PI
 from .errors import (
+    Checked,
     ConcentrationError,
     ConstructionError,
     DomainError,
@@ -102,7 +103,7 @@ class PowerProfile(NamedTuple):
         return {"kind": "power", "params": {"exponent": self.exponent, "scale": self.scale}}
 
 
-class TableProfile(NamedTuple("_Table", [("xs", tuple), ("ys", tuple)])):
+class TableProfile(Checked, NamedTuple("_Table", [("xs", tuple), ("ys", tuple)])):
     """Piecewise-linear profile through (xs, ys); queries must stay in range.
 
     xs must be finite and strictly increasing and ys finite, at least two of
@@ -184,7 +185,7 @@ def profile_from_spec(spec: dict):
 # -- cost models ---------------------------------------------------------
 
 
-class CostModel(NamedTuple("_Cost", [("kind", str), ("raw", object), ("domain", tuple),
+class CostModel(Checked, NamedTuple("_Cost", [("kind", str), ("raw", object), ("domain", tuple),
                                      ("spec", dict), ("profile", object)])):
     """Symmetric pairwise interaction with extended-real values.
 
@@ -396,7 +397,7 @@ def load_cost(path) -> CostModel:
 # -- well-ordering certification -----------------------------------------
 
 
-class WellOrderReport(NamedTuple("_WellOrder", [
+class WellOrderReport(Checked, NamedTuple("_WellOrder", [
         ("verdict", str), ("margin", float), ("counterexample", dict),
         ("grid_size", int), ("n_random", int), ("seed", int)])):
     """Outcome of grid certification of the four-point exchange inequality.

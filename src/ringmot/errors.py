@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the finiteness check that raises one."""
+"""Exception hierarchy, finiteness check and validating-record base shared across the package."""
 
 import numpy as np
 
@@ -48,3 +48,13 @@ def require_finite(what: str, x: np.ndarray, error: type[RingmotError]) -> None:
     if bad.size:
         at = tuple(int(i) for i in bad[0])
         raise error(f"{what} must be finite: index {at[0] if len(at) == 1 else at} holds {x[at]}")
+
+
+class Checked:
+    """Base of the validating NamedTuples: `_make`, and `_replace` through it, run `__new__`'s checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

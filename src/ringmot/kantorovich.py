@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import TOL, TWO_PI, gap_tolerance
 from .costs import CostModel
-from .errors import DomainError, SizeGuardError, StateError
+from .errors import Checked, DomainError, SizeGuardError, StateError
 from .measure1d import GridDensity
 
 if TYPE_CHECKING:
@@ -28,7 +28,7 @@ def uniform_grid(size: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, size)
 
 
-class Potential(NamedTuple("_Potential", [("grid", np.ndarray), ("values", np.ndarray)])):
+class Potential(Checked, NamedTuple("_Potential", [("grid", np.ndarray), ("values", np.ndarray)])):
     """Grid function on [0, 2*pi]."""
 
     __slots__ = ()

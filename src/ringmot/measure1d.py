@@ -66,6 +66,11 @@ class GridDensity(NamedTuple("_Density", [
         """Copies and pickles rebuild from the three given fields."""
         return self.nodes, self.values, self.periodic
 
+    @classmethod
+    def _make(cls, iterable):
+        """Checked rebuild from nodes, values and periodic; cum, slopes and plateaus are re-derived."""
+        return cls(*tuple(iterable)[:3])
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -199,11 +204,8 @@ class GridDensity(NamedTuple("_Density", [
         }
 
 
-def density_from_spec(spec: dict):
-    """Build a density from its JSON spec, normalizing mass to 1.
-
-    Returns (density, scale) where scale is the factor applied to the raw values.
-    """
+def density_from_spec(spec: dict) -> GridDensity:
+    """Build a density from its JSON spec, its values rescaled to unit mass."""
     try:
         nodes = np.asarray(spec["nodes"], dtype=float)
         values = np.asarray(spec["values"], dtype=float)
@@ -218,10 +220,9 @@ def density_from_spec(spec: dict):
     total = float(np.sum(0.5 * (values[:-1] + values[1:]) * h))
     if not total > 0:
         raise ConstructionError("density spec has non-positive total mass")
-    scale = 1.0 / total
-    return GridDensity(nodes, values * scale, periodic), scale
+    return GridDensity(nodes, values * (1.0 / total), periodic)
 
 
-def load_density(path):
+def load_density(path) -> GridDensity:
     with open(path, "r", encoding="utf-8") as fh:
         return density_from_spec(json.load(fh))

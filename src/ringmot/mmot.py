@@ -1,4 +1,4 @@
-"""Exact discrete multimarginal transport by linear programming.
+"""The LP oracle: exact discrete multimarginal transport on a quantized marginal.
 
 The joint measure over all m^n cells is optimized directly with the
 in-house simplex, which keeps the oracle auditable and exposes row duals.
@@ -10,12 +10,13 @@ to unit norm before solving; stated tolerances apply after scaling.
 The simplex starts at the staircase basis: a multi-index north-west-corner
 rule on the n marginals, marginal i rotated by floor(i m / n), gives
 m + (n-1)(m-1) cells, one per row, with non-negative masses (Bein, Brucker,
-Park and Pathak 1995). For uniform weights and n dividing m these are the
-m cells of the cyclic monotone (Seidl) plan at mass 1/m plus zero-mass
-steps between them, so phase 1 is skipped. When a staircase cell has
-infinite cost (m < 2n puts two marginals on one atom) the solve starts
-from the artificial basis instead. The start is not part of the
-certificate: phase 2 prices every cell, and the residual check still runs.
+Park and Pathak 1995). For uniform weights and n dividing m its cells of
+positive mass are exactly the index rows of `seidl.seidl_plan`, each at
+mass 1/m, and the rest are zero-mass steps between them, so phase 1 is
+skipped. When a staircase cell has infinite cost (m < 2n puts two
+marginals on one atom) the solve starts from the artificial basis instead.
+The start is not part of the certificate: phase 2 prices every cell, and
+the residual check still runs.
 """
 
 from __future__ import annotations
@@ -26,42 +27,9 @@ import numpy as np
 
 from .config import TOL
 from .costs import CostModel
-from .errors import DomainError, SizeGuardError, StateError, require_finite
-from .measure1d import GridDensity
-from .seidl import DiscretePlan
+from .errors import DomainError, SizeGuardError, StateError
+from .seidl import DiscreteMarginal, DiscretePlan, quantize  # quantize: the oracle's input, importable here
 from .simplex import solve_equality_lp
-
-
-class DiscreteMarginal(NamedTuple("_Marginal", [("atoms", np.ndarray), ("weights", np.ndarray)])):
-    """Atomic approximation of a density: distinct atoms with positive weights."""
-
-    __slots__ = ()
-
-    def __new__(cls, atoms, weights):
-        atoms = np.asarray(atoms, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if atoms.ndim != 1 or atoms.shape != weights.shape:
-            raise DomainError("atoms and weights must be 1d arrays of equal length")
-        require_finite("atoms", atoms, DomainError)
-        require_finite("weights", weights, DomainError)
-        ordered = np.sort(atoms)
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise DomainError("atoms must be distinct")
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > TOL.mass_tol:
-            raise DomainError("weights must be positive and sum to 1")
-        return super().__new__(cls, atoms, weights)
-
-    @property
-    def m(self) -> int:
-        return self.atoms.size
-
-
-def quantize(rho: GridDensity, m: int) -> DiscreteMarginal:
-    """Midpoint-quantile atoms with uniform weights 1/m."""
-    if m < 1:
-        raise DomainError("need at least one atom")
-    atoms = np.asarray(rho.quantile((np.arange(1, m + 1) - 0.5) / m))
-    return DiscreteMarginal(np.atleast_1d(atoms), np.full(m, 1.0 / m))
 
 
 class LPSolution(NamedTuple):

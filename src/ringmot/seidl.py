@@ -1,10 +1,10 @@
-"""Cyclic monotone transport maps and the plans they generate.
+"""Quantized marginals, the cyclic monotone (Seidl) plan on them, and its map.
 
-The map T shifts CDF mass by 1/n modulo 1, so it is strictly increasing on
-each equal-mass segment and its n-th iterate is the identity. The induced
-plan places each marginal at the same midpoint-quantile quantization of the
-density. T is undefined exactly at the segment boundaries; atoms are placed
-strictly inside segments so that point is never evaluated.
+The map T shifts CDF mass by 1/n modulo 1, so T^k is t -> t + k/n mod 1 in
+the quantile variable. On the m midpoint-quantile atoms (`quantize`), with n
+dividing m, that is the index shift j -> j + k m/n mod m, so every plan
+coordinate is exactly an atom the LP oracle solves over, and the plan's cells
+are those `mmot.staircase` holds at mass 1/m.
 """
 
 from __future__ import annotations
@@ -18,38 +18,65 @@ import numpy as np
 
 from .config import TOL
 from .costs import CostModel
-from .errors import ConstructionError, DomainError, require_finite
+from .errors import Checked, ConstructionError, DomainError, require_finite
 from .measure1d import GridDensity
 
 
-class SeidlMap(NamedTuple):
+class SeidlMap(Checked, NamedTuple("_SeidlMap", [("rho", GridDensity), ("n", int)])):
     """Piecewise-monotone map advancing mass by 1/n around the ring."""
 
-    rho: GridDensity
-    n: int
+    __slots__ = ()
+
+    def __new__(cls, rho, n):
+        if n < 2:
+            raise DomainError("need n >= 2 marginals")
+        return super().__new__(cls, rho, n)
 
     def __call__(self, x):
-        q = self.rho.cdf(x) + 1.0 / self.n
-        q = np.where(q > 1.0, q - 1.0, q)
-        return self.rho.quantile(q)
+        return self.iterate(1, x)
 
     def iterate(self, k: int, x):
-        """k-fold composition T^(k); k = 0 is the identity."""
+        """T^k(x) = Q(F(x) + k/n mod 1), one cdf and one quantile; k = 0 is the identity."""
         if k < 0:
             raise DomainError("iteration count must be non-negative")
-        out = np.asarray(x, dtype=float)
-        for _ in range(k):
-            out = self(out)
-        return out if np.ndim(x) else float(out)
+        if k == 0:
+            return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+        q = self.rho.cdf(x) + (k % self.n) / self.n
+        return self.rho.quantile(np.where(q > 1.0, q - 1.0, q))
 
 
-def build_seidl_map(rho: GridDensity, n: int) -> SeidlMap:
-    if n < 2:
-        raise DomainError("need n >= 2 marginals")
-    return SeidlMap(rho, n)
+class DiscreteMarginal(Checked, NamedTuple("_Marginal", [("atoms", np.ndarray), ("weights", np.ndarray)])):
+    """Atomic approximation of a density: distinct atoms with positive weights."""
+
+    __slots__ = ()
+
+    def __new__(cls, atoms, weights):
+        atoms = np.asarray(atoms, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        if atoms.ndim != 1 or atoms.shape != weights.shape:
+            raise DomainError("atoms and weights must be 1d arrays of equal length")
+        require_finite("atoms", atoms, DomainError)
+        require_finite("weights", weights, DomainError)
+        ordered = np.sort(atoms)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise DomainError("atoms must be distinct")
+        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > TOL.mass_tol:
+            raise DomainError("weights must be positive and sum to 1")
+        return super().__new__(cls, atoms, weights)
+
+    @property
+    def m(self) -> int:
+        return self.atoms.size
 
 
-class DiscretePlan(NamedTuple("_Plan", [("atoms", np.ndarray), ("weights", np.ndarray)])):
+def quantize(rho: GridDensity, m: int) -> DiscreteMarginal:
+    """Midpoint-quantile atoms Q((j + 1/2) / m), j = 0 .. m-1, with uniform weights 1/m."""
+    if m < 1:
+        raise DomainError("need at least one atom")
+    return DiscreteMarginal(rho.quantile((np.arange(1, m + 1) - 0.5) / m), np.full(m, 1.0 / m))
+
+
+class DiscretePlan(Checked, NamedTuple("_Plan", [("atoms", np.ndarray), ("weights", np.ndarray)])):
     """Sparse joint probability measure on atoms in [0, 2*pi]^n.
 
     atoms is (num_atoms, n); weights are positive and sum to 1.
@@ -74,9 +101,6 @@ class DiscretePlan(NamedTuple("_Plan", [("atoms", np.ndarray), ("weights", np.nd
     def n(self) -> int:
         return self.atoms.shape[1]
 
-    def marginal_atoms(self, i: int) -> np.ndarray:
-        return self.atoms[:, i]
-
     def symmetrized(self) -> "DiscretePlan":
         """Replace each atom by its n! coordinate permutations at weight / n!."""
         n = self.n
@@ -99,33 +123,25 @@ def plan_from_csv(path) -> DiscretePlan:
 
 
 def seidl_plan(rho: GridDensity, n: int, m: int, symmetrize: bool = False) -> DiscretePlan:
-    """Plan with atoms (x_j, T(x_j), ..., T^(n-1)(x_j)) at midpoint quantiles.
+    """Plan on `quantize(rho, m)` whose row j holds atoms j, j + m/n, ..., j + (n-1) m/n mod m.
 
-    m must be a multiple of n so atoms align with the equal-mass segments.
+    m must be a multiple of n so the shift m/n is a whole number of atoms.
     """
-    if m < n:
-        raise DomainError("need at least n atoms")
-    if m % n != 0:
-        raise DomainError("atom count must be a multiple of n")
-    T = build_seidl_map(rho, n)
-    cols = [np.asarray(rho.quantile((np.arange(1, m + 1) - 0.5) / m))]
-    for _ in range(n - 1):
-        cols.append(np.asarray(T(cols[-1])))
-    plan = DiscretePlan(np.stack(cols, axis=1), np.full(m, 1.0 / m))
+    if n < 2 or m < n or m % n != 0:
+        raise DomainError(f"need n >= 2 marginals and m a positive multiple of n: got n = {n}, m = {m}")
+    marginal = quantize(rho, m)
+    rows = (np.arange(m)[:, None] + np.arange(n) * (m // n)) % m
+    plan = DiscretePlan(marginal.atoms[rows], marginal.weights)
     return plan.symmetrized() if symmetrize else plan
 
 
-def atom_costs(plan: DiscretePlan, w: CostModel) -> np.ndarray:
-    """Interaction cost sum over ordered pairs i != j, per atom."""
-    n = plan.n
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    pair_vals = w(plan.atoms[:, i_idx], plan.atoms[:, j_idx])
-    return 2.0 * np.sum(pair_vals, axis=1)
-
-
 def plan_cost(plan: DiscretePlan, w: CostModel) -> float:
-    """Plan energy; +inf as soon as any atom touches the infinity locus."""
-    costs = atom_costs(plan, w)
+    """Plan energy: per atom the cost summed over ordered pairs i != j, weighted.
+
+    +inf as soon as any atom touches the infinity locus.
+    """
+    i_idx, j_idx = np.triu_indices(plan.n, k=1)
+    costs = 2.0 * np.sum(w(plan.atoms[:, i_idx], plan.atoms[:, j_idx]), axis=1)
     if np.any(np.isinf(costs)):
         return float("inf")
     return float(np.dot(plan.weights, costs))

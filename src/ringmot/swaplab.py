@@ -17,10 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostModel
-from .errors import ConstructionError, DomainError, require_finite
+from .errors import Checked, ConstructionError, DomainError, require_finite
 
 
-class Bipartition(NamedTuple("_Bipartition", [("n", int), ("members", tuple)])):
+class Bipartition(Checked, NamedTuple("_Bipartition", [("n", int), ("members", tuple)])):
     """Subset A of {1, ..., 2n} with |A| = n, stored sorted."""
 
     __slots__ = ()
@@ -52,7 +52,7 @@ def even_bipartition(n: int) -> Bipartition:
     return Bipartition(n, tuple(range(2, 2 * n + 1, 2)))
 
 
-class StepFunction(NamedTuple("_Step", [("values", tuple)])):
+class StepFunction(Checked, NamedTuple("_Step", [("values", tuple)])):
     """Values of the prefix counting function at integer arguments 0..2n."""
 
     __slots__ = ()

@@ -197,15 +197,23 @@ class TestConstruction:
         with pytest.raises(ConstructionError):
             GridDensity.from_values(nodes, np.array([2.0, 1.0, 1.0]), periodic=True, normalize=True)
 
-    def test_loader_normalizes_and_reports_scale(self, tmp_path):
+    def test_loader_normalizes_to_unit_mass(self, tmp_path):
         spec = {"nodes": [0.0, np.pi, TWO_PI], "values": [3.0, 3.0, 3.0], "periodic": True}
-        rho, scale = density_from_spec(spec)
+        rho = density_from_spec(spec)
         assert rho.cdf(TWO_PI) == pytest.approx(1.0, abs=1e-12)
-        assert scale == pytest.approx(1.0 / (3.0 * TWO_PI))
+        assert np.allclose(rho.values, 1.0 / TWO_PI)
         path = tmp_path / "d.json"
         path.write_text(json.dumps(rho.to_spec()))
         from ringmot.measure1d import load_density
 
-        again, scale2 = load_density(path)
+        again = load_density(path)
         assert np.allclose(again.values, rho.values)
-        assert scale2 == pytest.approx(1.0)
+
+    def test_replace_checks_and_rederives(self):
+        with pytest.raises(ConstructionError, match="total mass"):
+            GridDensity.uniform()._replace(values=np.array([1.0, 1.0]))
+        assert np.array_equal(GridDensity.uniform()._replace(cum=np.array([0.0, 0.5])).cum, [0.0, 1.0])
+        rho = GridDensity.uniform()._replace(nodes=np.array([0.0, np.pi, TWO_PI]),
+                                             values=np.array([0.5, 1.5, 0.5]) / TWO_PI)
+        assert rho.cdf(np.pi) == pytest.approx(0.5, abs=1e-15)
+        assert np.array_equal(rho.cum, GridDensity(rho.nodes, rho.values).cum)

@@ -378,13 +378,19 @@ class TestStartSoundness:
         assert np.linalg.matrix_rank(A) == cells.shape[0]
         assert np.allclose(A @ mass, np.tile(marg.weights, n), atol=1e-15)
 
-    @pytest.mark.parametrize("n,m", [(2, 8), (3, 12), (4, 8), (4, 12)])
-    def test_seidl_cells_carry_the_mass(self, uniform, n, m):
-        cells, mass = staircase(quantize(uniform, m), n)
-        seidl = (np.arange(m)[:, None] + np.arange(n) * (m // n)) % m
-        on = mass > 0
-        assert sorted(map(tuple, cells[on].tolist())) == sorted(map(tuple, seidl.tolist()))
-        assert np.allclose(mass[on], 1.0 / m, rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("n,m", [(2, 8), (3, 12), (4, 8), (4, 12),
+                                     (2, 48), (3, 24), (3, 63), (5, 10)])
+    def test_seidl_cells_carry_the_mass(self, uniform, cosine, n, m):
+        # the staircase start and seidl_plan are one plan: same cells, each atom bitwise shared
+        for rho in (uniform, cosine, GridDensity.random_positive(7)):
+            marg = quantize(rho, m)
+            cells, mass = staircase(marg, n)
+            on = mass > 0
+            plan = seidl_plan(rho, n, m)
+            assert np.all(np.isin(plan.atoms, marg.atoms))
+            rows = np.searchsorted(marg.atoms, plan.atoms)
+            assert sorted(map(tuple, cells[on].tolist())) == sorted(map(tuple, rows.tolist()))
+            assert np.all(mass[on] == 1.0 / m) and np.all(plan.weights == 1.0 / m)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cells_finite_from_m_2n(self, uniform, ring_inverse, n):

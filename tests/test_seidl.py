@@ -8,45 +8,58 @@ from ringmot.costs import LinearProfile, make_ring_cost
 from ringmot.errors import ConstructionError, DomainError
 from ringmot.measure1d import GridDensity
 from ringmot.mmot import quantize, solve_mmot
-from ringmot.seidl import DiscretePlan, build_seidl_map, plan_cost, plan_from_csv, seidl_plan
+from ringmot.seidl import DiscretePlan, SeidlMap, plan_cost, plan_from_csv, seidl_plan
 
 from conftest import TWO_PI
 
 
 class TestMap:
     def test_uniform_half_turn(self, uniform):
-        T = build_seidl_map(uniform, 2)
+        T = SeidlMap(uniform, 2)
         xs = np.linspace(0.1, 3.0, 50)
         assert np.allclose(T(xs), np.mod(xs + np.pi, TWO_PI), atol=1e-11)
 
     def test_uniform_third_turn(self, uniform):
-        T = build_seidl_map(uniform, 3)
+        T = SeidlMap(uniform, 3)
         assert T(0.1) == pytest.approx(0.1 + TWO_PI / 3, abs=1e-11)
 
     def test_cosine_at_origin(self, cosine):
-        T = build_seidl_map(cosine, 2)
+        T = SeidlMap(cosine, 2)
         assert abs(cosine.cdf(T(0.0)) - 0.5) <= 1e-12
 
     def test_identity_iterate(self, cosine):
-        T = build_seidl_map(cosine, 3)
+        T = SeidlMap(cosine, 3)
         assert T.iterate(0, 1.234) == 1.234
 
+    def test_one_marginal_rejected(self, uniform):
+        with pytest.raises(DomainError, match="n >= 2"):
+            SeidlMap(uniform, 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_iterate_is_composition(self, n):
+        T = SeidlMap(GridDensity.random_positive(3), n)
+        xs = T.rho.quantile((np.arange(40) + 0.5) / 40)  # midpoint quantiles: off the segment boundaries
+        composed = xs
+        for k in range(1, n):
+            composed = T(composed)
+            assert np.max(np.abs(T.iterate(k, xs) - composed)) <= 1e-12, k
+
     def test_uniform_two_quarter_shifts(self, uniform):
-        T = build_seidl_map(uniform, 4)
+        T = SeidlMap(uniform, 4)
         assert T.iterate(2, 0.0) == pytest.approx(np.pi, abs=1e-10)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 5_000), n=st.integers(2, 5), x=st.floats(0.01, 6.2))
     def test_full_cycle_returns(self, seed, n, x):
         rho = GridDensity.random_positive(seed)
-        T = build_seidl_map(rho, n)
+        T = SeidlMap(rho, n)
         assert T.iterate(n, x) == pytest.approx(x, abs=1e-8)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 5_000), n=st.integers(2, 4))
     def test_monotone_on_segments_and_conjugacy(self, seed, n):
         rho = GridDensity.random_positive(seed)
-        T = build_seidl_map(rho, n)
+        T = SeidlMap(rho, n)
         b = np.asarray(rho.segments(n))
         for i in range(n):
             xs = np.linspace(b[i], b[i + 1], 258)[1:-1]  # 256 interior samples
@@ -74,7 +87,7 @@ class TestPlan:
     def test_cosine_marginal_quantization(self, cosine):
         plan = seidl_plan(cosine, 2, 8)
         for col in range(2):
-            atoms = np.sort(plan.marginal_atoms(col))
+            atoms = np.sort(plan.atoms[:, col])
             # empirical CDF of the atoms tracks the density CDF within 1/m
             emp = (np.arange(8) + 1) / 8
             gap = np.max(np.abs(cosine.cdf(atoms) - (emp - 0.5 / 8)))
@@ -93,6 +106,14 @@ class TestPlan:
     def test_non_finite_weights_rejected(self):
         with pytest.raises(ConstructionError, match="plan weights must be finite: index 0 holds nan"):
             DiscretePlan([[0.1, 0.2]], [np.nan])
+
+    def test_make_and_replace_check(self):
+        plan = DiscretePlan([[0.1, 0.2]], [1.0])
+        with pytest.raises(ConstructionError, match="sum to 1"):
+            plan._replace(weights=np.array([5.0]))
+        with pytest.raises(ConstructionError, match="plan weights must be finite"):
+            DiscretePlan._make([np.array([[0.1, 0.2]]), np.array([np.nan])])
+        assert np.array_equal(plan._replace(atoms=np.array([[0.3, 0.4]])).atoms, [[0.3, 0.4]])
 
     def test_non_finite_atoms_rejected(self):
         with pytest.raises(ConstructionError, match=r"plan atoms must be finite: index \(0, 0\) holds nan"):

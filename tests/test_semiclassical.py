@@ -377,6 +377,11 @@ class TestUpperBound:
         assert all(p.bound >= curve.reference for p in curve.points)
         assert 0.4 <= curve.slope <= 0.6
 
+    def test_n3_plan_prices_the_m_atoms(self, cosine08, ring_inverse):
+        # every coordinate of the n = 3 plan is one of the m quantized atoms
+        curve = upper_bound_curve(cosine08, ring_inverse, 3, [1e-1, 1e-2], m=63)
+        assert curve.coords == 63
+
     def test_cost_matrix_built_once_per_curve(self, uniform, truncated_ring):
         # the translation-invariant pair matrix is read off one 1024-point row
         shapes = []
