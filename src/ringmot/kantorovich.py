@@ -5,8 +5,10 @@ unbounded problem afterwards: the full cost dominates the truncated one
 pointwise, so feasibility margins only improve, and the two problems share
 optimal values once the truncation level clears the support threshold.
 
-Potentials are reported with n <rho, v> equal to the transport value, which
-pins the additive constant.
+The averaged fixed point pins the additive constant: its step ignores a
+constant added to the seed, and its fixed point has margin 0. n <rho, v> then
+lies the certified gap below the cost of the grid measure's Seidl staircase
+(`staircase_value`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .config import TOL, TWO_PI, gap_tolerance
 from .costs import CostModel
 from .errors import Checked, DomainError, SizeGuardError, StateError
 from .measure1d import GridDensity
+from .seidl import SeidlMap, cells_cost, mass_staircase
 
 if TYPE_CHECKING:
     from .mmot import LPSolution
@@ -65,6 +68,10 @@ def density_pairing(rho: GridDensity, v: Potential) -> float:
 
 # side of the square blocks in which the three-body min-plus is bounded and scanned
 TILE = 8
+# rows of x the three-body min-plus bounds and scans per step
+X_ROWS = 32
+# rows of x the one-body min-plus subtracts and reduces per step, through one buffer
+K1_ROWS = 64
 
 
 class _PairMatrix(NamedTuple):
@@ -80,7 +87,7 @@ class _PairMatrix(NamedTuple):
     minima: np.ndarray | None = None
 
 
-def _doubled_pair_matrix(v: Potential, w: CostModel, n: int) -> _PairMatrix:
+def _doubled_pair_matrix(grid: np.ndarray, w: CostModel, n: int) -> _PairMatrix:
     """2 w on the grid, after the grid^(n-1) guard (checked before any work).
 
     The grid must be uniform: a translation-invariant cost is read off one
@@ -88,23 +95,24 @@ def _doubled_pair_matrix(v: Potential, w: CostModel, n: int) -> _PairMatrix:
     """
     if n < 2:
         raise DomainError("need n >= 2 marginals")
-    if v.size ** (n - 1) > TOL.ctransform_guard:
+    g = grid.size
+    if g ** (n - 1) > TOL.ctransform_guard:
         raise SizeGuardError(
-            f"grid^(n-1) = {v.size}^{n - 1} = {v.size ** (n - 1)} exceeds the "
+            f"grid^(n-1) = {g}^{n - 1} = {g ** (n - 1)} exceeds the "
             f"c-transform guard {TOL.ctransform_guard}"
         )
-    pair2 = 2.0 * w.grid_matrix(v.grid)
+    pair2 = 2.0 * w.grid_matrix(grid)
     if n == 2:
         return _PairMatrix(pair2)
-    nb = -(-v.size // TILE)
+    nb = -(-g // TILE)
     padded = np.full((nb * TILE, nb * TILE), np.inf)
-    padded[: v.size, : v.size] = pair2
+    padded[:g, :g] = pair2
     blocks = padded.reshape(nb, TILE, nb, TILE).swapaxes(1, 2).reshape(nb * nb, TILE, TILE)
     return _PairMatrix(pair2, blocks, blocks.min(axis=(1, 2)).reshape(nb, nb))
 
 
-def _bounded_pair_matrix(v: Potential, w: CostModel, n: int) -> _PairMatrix:
-    pair = _doubled_pair_matrix(v, w, n)
+def _bounded_pair_matrix(grid: np.ndarray, w: CostModel, n: int) -> _PairMatrix:
+    pair = _doubled_pair_matrix(grid, w, n)
     if not np.all(np.isfinite(pair.full)):
         raise DomainError("cost is unbounded on the grid; truncate first")
     return pair
@@ -126,7 +134,13 @@ def _min_plus(pair: _PairMatrix, u: np.ndarray, k: int) -> tuple[np.ndarray, int
     """
     pair2 = pair.full
     if k == 1:
-        return (pair2 - u[None, :]).min(axis=1), 0, 0
+        out = np.empty(u.size)
+        buf = np.empty((min(K1_ROWS, u.size), u.size))
+        for x0 in range(0, u.size, K1_ROWS):
+            rows = buf[: min(K1_ROWS, u.size - x0)]
+            np.subtract(pair2[x0 : x0 + K1_ROWS], u, out=rows)
+            rows.min(axis=1, out=out[x0 : x0 + K1_ROWS])
+        return out, 0, 0
     if k == 2:
         return _tiled_min_plus(pair, u)
     out = np.empty(u.size)
@@ -157,8 +171,8 @@ def _tiled_min_plus(pair: _PairMatrix, u: np.ndarray) -> tuple[np.ndarray, int, 
 
     Cost: g * nb^2 bounds plus TILE^2 terms per scanned block (about 4% of
     the blocks at g=256 on a fixed point's potentials). Memory: A (g rows of
-    nb * TILE) besides the pair matrix and its blocks, plus, per x-tile of
-    TILE rows, one (TILE, nb^2) bound and the terms of its scanned blocks.
+    nb * TILE) besides the pair matrix and its blocks, plus, per step of
+    X_ROWS rows, one (X_ROWS, nb^2) bound and the terms of its scanned blocks.
     """
     g, nb = u.size, pair.minima.shape[0]
     a = np.full((g, nb * TILE), np.inf)
@@ -178,9 +192,9 @@ def _tiled_min_plus(pair: _PairMatrix, u: np.ndarray) -> tuple[np.ndarray, int, 
 
     out = np.empty(g)
     scanned = 0
-    bound = np.empty((TILE, nb, nb))
-    for x0 in range(0, g, TILE):
-        rows = np.arange(x0, min(x0 + TILE, g))
+    bound = np.empty((X_ROWS, nb, nb))
+    for x0 in range(0, g, X_ROWS):
+        rows = np.arange(x0, min(x0 + X_ROWS, g))
         lb = bound[: rows.size]
         np.add(pair.minima, a_min[rows, None, :], out=lb)
         lb += a_min[rows, :, None]
@@ -200,7 +214,7 @@ def c_transform(v: Potential, w: CostModel, n: int) -> Potential:
     Requires a bounded cost; the transform of a bounded function is
     continuous with the modulus of c_n in its first argument.
     """
-    values, _, _ = _min_plus(_bounded_pair_matrix(v, w, n), v.values, n - 1)
+    values, _, _ = _min_plus(_bounded_pair_matrix(v.grid, w, n), v.values, n - 1)
     return Potential(v.grid, values)
 
 
@@ -230,9 +244,11 @@ def averaged_iteration(
     below its transform anywhere beyond tol, one extra half-step
     v <- min(v, v_c) restores c_n - (+)v >= -tol exactly. The report's
     margin is min(v_c - v) of the returned v, i.e. its `feasibility_margin`;
-    only a repaired v costs one more transform.
+    only a repaired v costs one more transform. The step ignores a constant
+    added to v, since v_c drops by (n-1) times it: from the first step on, the
+    iterates are those of v0 shifted to margin 0.
     """
-    pair = _bounded_pair_matrix(v0, w, n)
+    pair = _bounded_pair_matrix(v0.grid, w, n)
     scanned = total = 0
 
     def transform(values):
@@ -266,18 +282,65 @@ def averaged_iteration(
     return Potential(v0.grid, v), report
 
 
+# midpoint cells of the co-motion potential's quadrature, and the half-width of
+# its centered difference: below the half-cell pi / SEED_CELLS, so x +- SEED_STEP
+# stays in [0, 2*pi]
+SEED_CELLS = 4096
+SEED_STEP = 1e-5
+
+
+def comotion_potential(
+    rho: GridDensity, w: CostModel, n: int, grid: np.ndarray
+) -> tuple[Potential, float]:
+    """The Seidl plan's potential on the grid, 0 at x = 0, and its period defect.
+
+    On the Seidl plan the potential is the strictly-correlated-electrons one
+    read off the co-motion functions T^k (Seidl, Gori-Giorgi and Savin 2007;
+    Colombo, De Pascale and Di Marino 2015):
+    v'(x) = 2 sum_{k=1}^{n-1} d1 w(x, T^k x). It is summed by the midpoint
+    rule on SEED_CELLS cells of [0, 2*pi], with T^k from `SeidlMap.iterate`
+    and d1 w one centered difference of the cost, then interpolated onto the
+    grid. The period defect |v(2*pi) - v(0)| of the sum is 0 for the exact
+    potential. A seed needs no rigor: the fixed point it starts is certified
+    on its own.
+    """
+    x = (np.arange(SEED_CELLS) + 0.5) * (TWO_PI / SEED_CELLS)
+    seidl = SeidlMap(rho, n)
+    slope = np.zeros(SEED_CELLS)
+    for k in range(1, n):
+        y = seidl.iterate(k, x)
+        slope += w(x + SEED_STEP, y) - w(x - SEED_STEP, y)
+    # 2 d1 w = (w(x + s) - w(x - s)) / s, times the cell width
+    sums = np.concatenate(([0.0], np.cumsum(slope * (TWO_PI / SEED_CELLS / SEED_STEP))))
+    values = np.interp(grid, np.linspace(0.0, TWO_PI, SEED_CELLS + 1), sums)
+    return Potential(grid, values), abs(float(sums[-1]))
+
+
 def feasibility_margin(v: Potential, w: CostModel, n: int) -> float:
     """Exact min over all grid n-tuples of c_n(x) - sum v(x_j), i.e. min(v_c - v).
 
     +inf cells of an unbounded cost never attain the minimum.
     """
-    vc, _, _ = _min_plus(_doubled_pair_matrix(v, w, n), v.values, n - 1)
+    vc, _, _ = _min_plus(_doubled_pair_matrix(v.grid, w, n), v.values, n - 1)
     return float(np.min(vc - v.values))
 
 
 def duality_gap(rho: GridDensity, v: Potential, transport_value: float, n: int) -> float:
     """gap = transport_value - n <rho, v>; non-negative for feasible v (see `feasibility_margin`)."""
     return float(transport_value - n * density_pairing(rho, v))
+
+
+def staircase_value(rho: GridDensity, grid: np.ndarray, w: CostModel, n: int) -> float:
+    """Cost of the grid measure's Seidl staircase, a feasible plan of the grid problem.
+
+    The grid measure puts mu_i = trapezoid weight * rho(x_i) on grid point
+    x_i, so <mu, v> is `density_pairing`. By weak duality the staircase's
+    cost is at least n <mu, v> + M min(v_c - v) for every grid potential v,
+    M being the measure's total mass: priced against it, the gap of a
+    feasible v is non-negative, up to rounding.
+    """
+    cells, mass = mass_staircase(quad_weights(grid) * rho.density(grid), n)
+    return cells_cost(grid[cells], mass, w)
 
 
 class OscillationReport(NamedTuple):
@@ -341,14 +404,16 @@ def untruncate_certificate(
     `margin_trunc` is v's feasibility margin for the truncated cost, as
     `averaged_iteration` reports it. The full cost dominates the truncated
     cost, so the feasibility margin can only improve; the optimal values
-    agree once the truncation level clears the support threshold, so the
-    same duality gap certifies v for the untruncated problem.
+    (the LP values on the quantized marginal) agree once the truncation
+    level clears the support threshold, so the same duality gap, priced
+    against the full cost's grid staircase (`staircase_value`), certifies v
+    for the untruncated problem.
     """
     if margin_trunc < -tol:
         raise DomainError("potential is not certified for the truncated cost")
     margin_full = feasibility_margin(v, w_full, n)
     value_diff = abs(value_full - value_truncated)
-    gap_full = duality_gap(rho, v, value_full, n)
+    gap_full = duality_gap(rho, v, staircase_value(rho, v.grid, w_full, n), n)
     passed = (
         margin_full >= margin_trunc - 1e-12
         and margin_full >= -tol
@@ -360,14 +425,16 @@ def untruncate_certificate(
 
 class PotentialCertificate(NamedTuple):
     potential: Potential
-    gap: float
+    gap: float  # gap_reference - n <rho, v>
+    gap_reference: float  # `staircase_value` of the truncated cost
     gap_tol: float
     truncation_level: float
     fixed_point: ConvergenceReport
     oscillation_report: OscillationReport
     untruncate: UntruncateReport
-    lp_truncated: LPSolution  # on the truncated cost; its duals seed the fixed point
+    lp_truncated: LPSolution  # on the truncated cost
     lp_full: LPSolution
+    seed_period_defect: float  # of `comotion_potential`
 
     def passed(self) -> bool:
         fp = self.fixed_point
@@ -385,6 +452,7 @@ class PotentialCertificate(NamedTuple):
             "schema": 1,
             "margin": fp.margin,
             "gap": self.gap,
+            "gap_reference": self.gap_reference,
             "gap_tol": self.gap_tol,
             "oscillation": osc.oscillation,
             "iterations": fp.iterations,
@@ -403,6 +471,7 @@ class PotentialCertificate(NamedTuple):
         """Deterministic telemetry of the fixed point and LPs, for the manifest's `stages`."""
         fp = self.fixed_point
         return {
+            "seed_period_defect": self.seed_period_defect,
             "iterations": fp.iterations,
             "residual_history": list(fp.history),
             "repaired": fp.repaired,
@@ -423,16 +492,18 @@ def certify_potential(
     grid_size: int = 128,
     m: int = 8,
 ) -> PotentialCertificate:
-    """Full pipeline: thresholds, truncation, LP duals, fixed point, lift.
+    """Full pipeline: thresholds, truncation, LPs, seeded fixed point, lift.
 
-    The truncation level is `support_thresholds`' h at `_auto_radius`. The LP
-    duals on the m-point quantization seed the averaged iteration on the grid
-    (at most 2000 steps, to sup|v - v_c| <= 1e-6); the fixed point is
-    certified for the truncated cost and the certificate is lifted to the
-    full cost.
+    The truncation level is `support_thresholds`' h at `_auto_radius`.
+    `comotion_potential` seeds the averaged iteration on the grid (at most
+    2000 steps, to sup|v - v_c| <= 1e-6). The gap is priced against the grid
+    measure's staircase (`staircase_value`); the fixed point is certified for
+    the truncated cost and the certificate is lifted to the full cost. The
+    LPs on the m-point quantization give `lp_value_*` and the
+    truncation-equivalence check.
     """
     from .costs import support_thresholds, truncate
-    from .mmot import quantize, solve_mmot, symmetrized_duals
+    from .mmot import quantize, solve_mmot
 
     if grid_size < 3:  # the inclusive grid holds 0 and 2*pi: one ring point at size 2
         raise DomainError(f"grid_size = {grid_size} is below 3; the grid needs two ring points")
@@ -445,15 +516,16 @@ def certify_potential(
         raise StateError("LP oracle failed on the quantized marginal")
 
     grid = uniform_grid(grid_size)
-    v0 = Potential(grid, np.interp(grid, marginal.atoms, symmetrized_duals(sol_h)))
+    v0, defect = comotion_potential(rho, w_h, n, grid)
     v, report = averaged_iteration(v0, w_h, n, max_iters=2000)
 
     gap_tol = gap_tolerance(grid_size, m)
-    gap = duality_gap(rho, v, sol_h.value, n)
-    osc_report = oscillation_bound_check(v, n * (n - 1) * thresholds.h, n, rho, sol_h.value)
+    reference = staircase_value(rho, grid, w_h, n)
+    gap = duality_gap(rho, v, reference, n)
+    osc_report = oscillation_bound_check(v, n * (n - 1) * thresholds.h, n, rho, reference)
     unt = untruncate_certificate(v, w, report.margin, rho, n, sol_h.value, sol_full.value, gap_tol)
     return PotentialCertificate(
-        v, gap, gap_tol, thresholds.h, report, osc_report, unt, sol_h, sol_full
+        v, gap, reference, gap_tol, thresholds.h, report, osc_report, unt, sol_h, sol_full, defect
     )
 
 

@@ -4,7 +4,8 @@ The map T shifts CDF mass by 1/n modulo 1, so T^k is t -> t + k/n mod 1 in
 the quantile variable. On the m midpoint-quantile atoms (`quantize`), with n
 dividing m, that is the index shift j -> j + k m/n mod m, so every plan
 coordinate is exactly an atom the LP oracle solves over, and the plan's cells
-are those `mmot.staircase` holds at mass 1/m.
+are those `mmot.staircase` holds at mass 1/m. `mass_staircase` is the same
+plan for any discrete measure, by cumulative mass.
 """
 
 from __future__ import annotations
@@ -135,13 +136,41 @@ def seidl_plan(rho: GridDensity, n: int, m: int, symmetrize: bool = False) -> Di
     return plan.symmetrized() if symmetrize else plan
 
 
-def plan_cost(plan: DiscretePlan, w: CostModel) -> float:
-    """Plan energy: per atom the cost summed over ordered pairs i != j, weighted.
+def cells_cost(atoms: np.ndarray, weights: np.ndarray, w: CostModel) -> float:
+    """Energy of plan cells: per cell the cost summed over ordered pairs i != j, weighted.
 
-    +inf as soon as any atom touches the infinity locus.
+    `atoms` is (c, n); the weights need not sum to 1. +inf as soon as any
+    cell touches the infinity locus.
     """
-    i_idx, j_idx = np.triu_indices(plan.n, k=1)
-    costs = 2.0 * np.sum(w(plan.atoms[:, i_idx], plan.atoms[:, j_idx]), axis=1)
+    i_idx, j_idx = np.triu_indices(atoms.shape[1], k=1)
+    costs = 2.0 * np.sum(w(atoms[:, i_idx], atoms[:, j_idx]), axis=1)
     if np.any(np.isinf(costs)):
         return float("inf")
-    return float(np.dot(plan.weights, costs))
+    return float(np.dot(weights, costs))
+
+
+def plan_cost(plan: DiscretePlan, w: CostModel) -> float:
+    """Plan energy, `cells_cost` of the plan's atoms at its weights."""
+    return cells_cost(plan.atoms, plan.weights, w)
+
+
+def mass_staircase(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (c, n) of atom indices and masses of the cyclic monotone plan of a discrete measure.
+
+    The weights mu_0 .. mu_{g-1} >= 0 have total M. The cell at cumulative
+    mass t in [0, M) puts coordinate k on the atom holding t + k M/n mod M,
+    so every coordinate's marginal is mu. Cells break where some coordinate
+    crosses an atom boundary: the n shifted copies of the cumulative sums,
+    at most n g cells, each found with `searchsorted`.
+    """
+    weights = np.asarray(weights, dtype=float)
+    cum = np.concatenate(([0.0], np.cumsum(weights)))
+    total = cum[-1]
+    shifts = np.arange(n) * (total / n)
+    breaks = np.append(np.sort(np.mod(cum[:-1, None] - shifts, total), axis=None), total)
+    mass = np.diff(breaks)
+    on = mass > 0
+    t = (breaks[:-1] + 0.5 * mass)[on, None] + shifts
+    t = np.where(t >= total, t - total, t)
+    cells = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, weights.size - 1)
+    return cells, mass[on]

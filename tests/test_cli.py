@@ -222,8 +222,9 @@ class TestArtifacts:
         assert rows[0] == "x,v" and len(rows) == 65
         stage = json.loads((out / "manifest.json").read_text())["stages"]["kantorovich"]
         assert set(stage) == {
-            "iterations", "residual_history", "repaired", "margin_truncated", "margin_full",
-            "lp_truncated", "lp_full", "tile", "tiles_scanned", "tiles_total",
+            "seed_period_defect", "iterations", "residual_history", "repaired",
+            "margin_truncated", "margin_full", "lp_truncated", "lp_full", "tile", "tiles_scanned",
+            "tiles_total",
         }
         assert stage["iterations"] == cert["iterations"] == len(stage["residual_history"])
         assert stage["residual_history"][-1] == cert["residual"]

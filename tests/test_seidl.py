@@ -8,7 +8,7 @@ from ringmot.costs import LinearProfile, make_ring_cost
 from ringmot.errors import ConstructionError, DomainError
 from ringmot.measure1d import GridDensity
 from ringmot.mmot import quantize, solve_mmot
-from ringmot.seidl import DiscretePlan, SeidlMap, plan_cost, plan_from_csv, seidl_plan
+from ringmot.seidl import DiscretePlan, SeidlMap, mass_staircase, plan_cost, plan_from_csv, seidl_plan
 
 from conftest import TWO_PI
 
@@ -158,3 +158,28 @@ class TestPlanCost:
         assert plan_cost(seidl_plan(cosine, 2, 6), ring_inverse) == pytest.approx(
             value, abs=1e-7
         )
+
+
+class TestMassStaircase:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_marginals_are_the_weights(self, uniform, cosine, n):
+        # trapezoid grid measures; cosine's touches zero at the grid point pi
+        for rho in (uniform, cosine, GridDensity.random_positive(7)):
+            for g in (9, 64, 257):
+                grid = np.linspace(0.0, TWO_PI, g)
+                mu = np.full(g, grid[1]) * rho.density(grid)
+                mu[[0, -1]] /= 2
+                cells, mass = mass_staircase(mu, n)
+                assert cells.shape[0] <= n * g and np.all(mass > 0)
+                for k in range(n):
+                    got = np.bincount(cells[:, k], weights=mass, minlength=g)
+                    assert np.max(np.abs(got - mu)) <= 1e-15
+
+    @pytest.mark.parametrize("n,m", [(2, 8), (3, 12), (4, 8)])
+    def test_equal_weights_give_the_seidl_rows(self, n, m):
+        # the shifted cumulative sums meet only up to rounding, leaving crumbs of ~1e-17
+        cells, mass = mass_staircase(np.full(m, 1.0 / m), n)
+        rows = (np.arange(m)[:, None] + np.arange(n) * (m // n)) % m
+        big = mass > 1e-15
+        assert np.array_equal(cells[big], rows)
+        assert np.allclose(mass[big], 1.0 / m, rtol=0, atol=1e-15)
