@@ -56,9 +56,6 @@ class InverseProfile(NamedTuple):
         with np.errstate(divide="ignore"):
             return np.where(d > 0, self.scale / np.where(d > 0, d, 1.0), np.inf)
 
-    def spec(self):
-        return {"kind": "inverse", "params": {"scale": self.scale}}
-
 
 class ExpProfile(NamedTuple):
     """g(d) = scale * exp(-rate * d)."""
@@ -69,9 +66,6 @@ class ExpProfile(NamedTuple):
     def __call__(self, d):
         return self.scale * np.exp(-self.rate * np.asarray(d, dtype=float))
 
-    def spec(self):
-        return {"kind": "exp", "params": {"rate": self.rate, "scale": self.scale}}
-
 
 class LinearProfile(NamedTuple):
     """g(d) = intercept - slope * d."""
@@ -81,9 +75,6 @@ class LinearProfile(NamedTuple):
 
     def __call__(self, d):
         return self.intercept - self.slope * np.asarray(d, dtype=float)
-
-    def spec(self):
-        return {"kind": "linear", "params": {"intercept": self.intercept, "slope": self.slope}}
 
 
 class PowerProfile(NamedTuple):
@@ -98,9 +89,6 @@ class PowerProfile(NamedTuple):
             return self.scale * d**self.exponent
         with np.errstate(divide="ignore"):
             return np.where(d > 0, self.scale * np.where(d > 0, d, 1.0) ** self.exponent, np.inf)
-
-    def spec(self):
-        return {"kind": "power", "params": {"exponent": self.exponent, "scale": self.scale}}
 
 
 class TableProfile(Checked, NamedTuple("_Table", [("xs", tuple), ("ys", tuple)])):
@@ -134,9 +122,6 @@ class TableProfile(Checked, NamedTuple("_Table", [("xs", tuple), ("ys", tuple)])
         if np.any(d < xs[0] - 1e-12) or np.any(d > xs[-1] + 1e-12):
             raise ConstructionError("table profile queried outside its tabulated range")
         return np.interp(d, xs, np.asarray(self.ys))
-
-    def spec(self):
-        return {"kind": "table", "params": {"xs": list(self.xs), "ys": list(self.ys)}}
 
 
 PROFILE_KINDS = {"inverse": InverseProfile, "exp": ExpProfile, "linear": LinearProfile,
@@ -186,7 +171,7 @@ def profile_from_spec(spec: dict):
 
 
 class CostModel(Checked, NamedTuple("_Cost", [("kind", str), ("raw", object), ("domain", tuple),
-                                     ("spec", dict), ("profile", object)])):
+                                     ("profile", object)])):
     """Symmetric pairwise interaction with extended-real values.
 
     A distance cost is a profile of the torus distance, w(x, y) =
@@ -199,7 +184,7 @@ class CostModel(Checked, NamedTuple("_Cost", [("kind", str), ("raw", object), ("
 
     __slots__ = ()
 
-    def __new__(cls, kind, raw=None, domain=(0.0, TWO_PI), spec=None, profile=None):
+    def __new__(cls, kind, raw=None, domain=(0.0, TWO_PI), profile=None):
         if (raw is None) == (profile is None):
             raise ConstructionError(f"{kind} cost needs exactly one of raw and profile")
         if profile is not None:
@@ -220,7 +205,7 @@ class CostModel(Checked, NamedTuple("_Cost", [("kind", str), ("raw", object), ("
                     f"{kind} cost is not exactly symmetric: w({x!r}, {y!r}) = "
                     f"{float(w[i, j])!r} but w({y!r}, {x!r}) = {float(w[j, i])!r}"
                 )
-        return super().__new__(cls, kind, raw, domain, {} if spec is None else spec, profile)
+        return super().__new__(cls, kind, raw, domain, profile)
 
     @property
     def translation_invariant(self) -> bool:
@@ -272,18 +257,12 @@ class CostModel(Checked, NamedTuple("_Cost", [("kind", str), ("raw", object), ("
 
 def make_ring_cost(g) -> CostModel:
     """Chordal interaction w(t, p) = g(2 sin(|t - p| / 2)) for particles on S^1."""
-    return CostModel(
-        kind="ring",
-        profile=lambda d: g(2.0 * np.sin(0.5 * d)),
-        spec={"kind": "ring", "profile": getattr(g, "spec", dict)()},
-    )
+    return CostModel(kind="ring", profile=lambda d: g(2.0 * np.sin(0.5 * d)))
 
 
 def make_torus_cost(g) -> CostModel:
     """w(x, y) = g(|x - y|_T) with g defined on [0, pi]."""
-    return CostModel(
-        kind="torus", profile=g, spec={"kind": "torus", "profile": getattr(g, "spec", dict)()}
-    )
+    return CostModel(kind="torus", profile=g)
 
 
 def make_graph_cost(f, g, window=(0.0, TWO_PI)) -> CostModel:
@@ -308,20 +287,10 @@ def make_graph_cost(f, g, window=(0.0, TWO_PI)) -> CostModel:
     def raw(x, y):
         return g(np.hypot(x - y, f(x) - f(y)))
 
-    return CostModel(
-        kind="graph",
-        raw=raw,
-        domain=(float(lo), float(hi)),
-        spec={
-            "kind": "graph",
-            "window": [float(lo), float(hi)],
-            "f": getattr(f, "spec", dict)(),
-            "g": getattr(g, "spec", dict)(),
-        },
-    )
+    return CostModel(kind="graph", raw=raw, domain=(lo, hi))
 
 
-def _pointwise(kind, models, combine, spec) -> CostModel:
+def _pointwise(kind, models, combine) -> CostModel:
     """Combine the models' values pointwise by combine(list of values).
 
     Distance costs combine to a distance cost, evaluated on one torus
@@ -333,9 +302,8 @@ def _pointwise(kind, models, combine, spec) -> CostModel:
         raise ConstructionError(f"{kind} models have incompatible domains")
     if all(m.translation_invariant for m in models):
         profiles = [m.profile for m in models]
-        return CostModel(kind, profile=lambda d: combine([p(d) for p in profiles]), spec=spec)
-    return CostModel(kind, raw=lambda x, y: combine([m(x, y) for m in models]),
-                     domain=(lo, hi), spec=spec)
+        return CostModel(kind, profile=lambda d: combine([p(d) for p in profiles]))
+    return CostModel(kind, raw=lambda x, y: combine([m(x, y) for m in models]), domain=(lo, hi))
 
 
 def cone_combine(models, weights) -> CostModel:
@@ -353,17 +321,14 @@ def cone_combine(models, weights) -> CostModel:
             total = total + wt * value
         return total
 
-    spec = {"kind": "sum", "weights": weights, "terms": [m.spec for m in models]}
-    return _pointwise("sum", models, weighted_sum, spec)
+    return _pointwise("sum", models, weighted_sum)
 
 
 def truncate(model: CostModel, h: float) -> CostModel:
     """Pointwise min(w, h); the result is bounded by h everywhere."""
     if not h > 0:
         raise DomainError("truncation level must be positive")
-    spec = {"kind": "truncated", "h": float(h), "base": model.spec}
-    return _pointwise(f"truncated-{model.kind}", [model],
-                      lambda values: np.minimum(values[0], h), spec)
+    return _pointwise(f"truncated-{model.kind}", [model], lambda values: np.minimum(values[0], h))
 
 
 def cost_from_spec(spec: dict) -> CostModel:

@@ -223,7 +223,6 @@ class ConvergenceReport(NamedTuple):
     iterations: int
     residual: float
     history: tuple
-    repaired: bool  # final min(v, v_c) half-step was applied
     margin: float  # min(v_c - v) of the returned potential
     tiles_scanned: int  # over the k=2 min-plus calls of every transform
     tiles_total: int
@@ -238,15 +237,15 @@ def averaged_iteration(
 ) -> tuple[Potential, ConvergenceReport]:
     """Iterate v <- ((n-1) v + v_c) / n until sup|v - v_c| <= tol.
 
-    From a grid-feasible start the iterates increase monotonically and stay
-    feasible, so the loop converges to a fixed point with v = v_c. The
-    returned potential is feasibility-repaired: if the final iterate dips
-    below its transform anywhere beyond tol, one extra half-step
-    v <- min(v, v_c) restores c_n - (+)v >= -tol exactly. The report's
-    margin is min(v_c - v) of the returned v, i.e. its `feasibility_margin`;
-    only a repaired v costs one more transform. The step ignores a constant
-    added to v, since v_c drops by (n-1) times it: from the first step on, the
-    iterates are those of v0 shifted to margin 0.
+    Every step is grid-feasible, whatever v: c_n is symmetric, so
+    v_c(x_i) + sum_{j != i} v(x_j) <= c_n(x) for each i of a grid tuple x,
+    and the sum over i gives sum_i ((n-1) v + v_c)(x_i) / n <= c_n(x). From
+    there the iterates increase monotonically and stay feasible, so the
+    loop converges to a fixed point with v = v_c. The report's margin is
+    min(v_c - v) of the returned v, i.e. its `feasibility_margin`; only with
+    max_iters = 0 is v0 itself returned, at its own margin. The step ignores
+    a constant added to v, since v_c drops by (n-1) times it: from the first
+    step on, the iterates are those of v0 shifted to margin 0.
     """
     pair = _bounded_pair_matrix(v0.grid, w, n)
     scanned = total = 0
@@ -271,12 +270,8 @@ def averaged_iteration(
             break
         v = ((n - 1) * v + vc) / n
         vc = transform(v)
-    repaired = bool(np.any(v - vc > tol))
-    if repaired:
-        v = np.minimum(v, vc)
-        vc = transform(v)
     report = ConvergenceReport(
-        converged, iterations, history[-1] if history else 0.0, tuple(history), repaired,
+        converged, iterations, history[-1] if history else 0.0, tuple(history),
         float(np.min(vc - v)), scanned, total,
     )
     return Potential(v0.grid, v), report
@@ -347,37 +342,30 @@ class OscillationReport(NamedTuple):
     oscillation: float
     cost_bound: float
     passed: bool
-    box_passed: bool | None
-    box_low: float | None
-    box_high: float | None
+    box_passed: bool
+    box_low: float
+    box_high: float
 
 
 def oscillation_bound_check(
     v: Potential,
     h: float,
-    n: int | None = None,
-    rho: GridDensity | None = None,
-    transport_value: float | None = None,
+    n: int,
+    rho: GridDensity,
+    transport_value: float,
     tol: float = 1e-9,
 ) -> OscillationReport:
     """Check max v - min v <= h for a potential of a cost bounded by h.
 
-    With the density and transport value supplied, also checks the sharper
-    normalized box -h (n-1)/n <= v - ref <= h/n, where ref recenters v to
-    the normalization n <rho, v> = transport value.
+    Also checks the sharper normalized box -h (n-1)/n <= v - ref <= h/n,
+    where ref recenters v to the normalization n <rho, v> = transport value.
     """
     osc = v.oscillation()
-    passed = osc <= h + tol
-    box_passed = box_low = box_high = None
-    if n is not None and rho is not None and transport_value is not None:
-        ref = density_pairing(rho, v) - transport_value / n
-        shifted = v.values - ref
-        box_low = float(shifted.min())
-        box_high = float(shifted.max())
-        box_passed = bool(
-            box_low >= -h * (n - 1) / n - tol and box_high <= h / n + tol
-        )
-    return OscillationReport(osc, h, bool(passed), box_passed, box_low, box_high)
+    shifted = v.values - (density_pairing(rho, v) - transport_value / n)
+    box_low = float(shifted.min())
+    box_high = float(shifted.max())
+    box_passed = box_low >= -h * (n - 1) / n - tol and box_high <= h / n + tol
+    return OscillationReport(osc, h, bool(osc <= h + tol), bool(box_passed), box_low, box_high)
 
 
 class UntruncateReport(NamedTuple):
@@ -474,7 +462,6 @@ class PotentialCertificate(NamedTuple):
             "seed_period_defect": self.seed_period_defect,
             "iterations": fp.iterations,
             "residual_history": list(fp.history),
-            "repaired": fp.repaired,
             "margin_truncated": self.untruncate.margin_truncated,
             "margin_full": self.untruncate.margin_full,
             "lp_truncated": self.lp_truncated.simplex,

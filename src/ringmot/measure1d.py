@@ -22,13 +22,12 @@ def _as_array(x):
 
 
 class GridDensity(NamedTuple("_Density", [
-        ("nodes", np.ndarray), ("values", np.ndarray), ("periodic", bool),
+        ("nodes", np.ndarray), ("values", np.ndarray),
         ("cum", np.ndarray), ("slopes", np.ndarray), ("plateaus", np.ndarray)])):
     """Piecewise-linear density with unit mass on [0, 2*pi].
 
-    nodes    -- strictly increasing abscissae, first 0, last 2*pi
-    values   -- non-negative ordinates (mass per unit length)
-    periodic -- if set, values at 0 and 2*pi must agree
+    nodes  -- strictly increasing abscissae, first 0, last 2*pi
+    values -- non-negative ordinates (mass per unit length)
 
     Derived at construction: `cum`, the CDF at the nodes; `slopes`, the slope
     of each linear piece; `plateaus`, the CDF levels of the zero-mass pieces.
@@ -36,7 +35,7 @@ class GridDensity(NamedTuple("_Density", [
 
     __slots__ = ()
 
-    def __new__(cls, nodes, values, periodic=False):
+    def __new__(cls, nodes, values):
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
@@ -49,8 +48,6 @@ class GridDensity(NamedTuple("_Density", [
             raise ConstructionError("nodes must be strictly increasing")
         if np.any(values < 0):
             raise ConstructionError("density values must be non-negative")
-        if periodic and abs(values[0] - values[-1]) > 1e-12:
-            raise ConstructionError("periodic density needs equal endpoint values")
         h = np.diff(nodes)
         seg_mass = 0.5 * (values[:-1] + values[1:]) * h
         cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
@@ -60,21 +57,21 @@ class GridDensity(NamedTuple("_Density", [
             )
         cum[-1] = 1.0
         slopes = (values[1:] - values[:-1]) / h
-        return super().__new__(cls, nodes, values, periodic, cum, slopes, cum[:-1][seg_mass == 0.0])
+        return super().__new__(cls, nodes, values, cum, slopes, cum[:-1][seg_mass == 0.0])
 
     def __getnewargs__(self):
-        """Copies and pickles rebuild from the three given fields."""
-        return self.nodes, self.values, self.periodic
+        """Copies and pickles rebuild from the two given fields."""
+        return self.nodes, self.values
 
     @classmethod
     def _make(cls, iterable):
-        """Checked rebuild from nodes, values and periodic; cum, slopes and plateaus are re-derived."""
-        return cls(*tuple(iterable)[:3])
+        """Checked rebuild from nodes and values; cum, slopes and plateaus are re-derived."""
+        return cls(*tuple(iterable)[:2])
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_values(cls, nodes, values, periodic=False, normalize=False):
+    def from_values(cls, nodes, values, normalize=False):
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if normalize:
@@ -83,11 +80,11 @@ class GridDensity(NamedTuple("_Density", [
             if total <= 0:
                 raise ConstructionError("cannot normalize a zero-mass density")
             values = values / total
-        return cls(nodes, values, periodic)
+        return cls(nodes, values)
 
     @classmethod
     def uniform(cls):
-        return cls(np.array([0.0, TWO_PI]), np.array([1.0, 1.0]) / TWO_PI, periodic=True)
+        return cls(np.array([0.0, TWO_PI]), np.array([1.0, 1.0]) / TWO_PI)
 
     @classmethod
     def cosine(cls, num_nodes: int = 641, amplitude: float = 1.0):
@@ -97,9 +94,7 @@ class GridDensity(NamedTuple("_Density", [
         positivity is required (e.g. mollified trial states).
         """
         nodes = np.linspace(0.0, TWO_PI, num_nodes)
-        return cls.from_values(
-            nodes, 1.0 + amplitude * np.cos(nodes), periodic=True, normalize=True
-        )
+        return cls.from_values(nodes, 1.0 + amplitude * np.cos(nodes), normalize=True)
 
     @classmethod
     def random_positive(cls, seed: int, num_nodes: int = 65, lo: float = 0.25, hi: float = 1.75):
@@ -108,7 +103,7 @@ class GridDensity(NamedTuple("_Density", [
         values = rng.uniform(lo, hi, num_nodes)
         values[-1] = values[0]
         nodes = np.linspace(0.0, TWO_PI, num_nodes)
-        return cls.from_values(nodes, values, periodic=True, normalize=True)
+        return cls.from_values(nodes, values, normalize=True)
 
     # -- queries --------------------------------------------------------
 
@@ -200,18 +195,20 @@ class GridDensity(NamedTuple("_Density", [
             "schema": 1,
             "nodes": self.nodes.tolist(),
             "values": self.values.tolist(),
-            "periodic": bool(self.periodic),
         }
 
 
 def density_from_spec(spec: dict) -> GridDensity:
-    """Build a density from its JSON spec, its values rescaled to unit mass."""
+    """Build a density from its JSON spec, its values rescaled to unit mass.
+
+    A spec that sets `periodic` declares equal first and last values; the
+    declaration is checked on the rescaled values.
+    """
     try:
         nodes = np.asarray(spec["nodes"], dtype=float)
         values = np.asarray(spec["values"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed density spec: {exc}") from exc
-    periodic = bool(spec.get("periodic", False))
     require_finite("density nodes", nodes, ConstructionError)
     require_finite("density values", values, ConstructionError)
     h = np.diff(nodes)
@@ -220,7 +217,10 @@ def density_from_spec(spec: dict) -> GridDensity:
     total = float(np.sum(0.5 * (values[:-1] + values[1:]) * h))
     if not total > 0:
         raise ConstructionError("density spec has non-positive total mass")
-    return GridDensity(nodes, values * (1.0 / total), periodic)
+    rho = GridDensity(nodes, values * (1.0 / total))
+    if spec.get("periodic", False) and abs(rho.values[0] - rho.values[-1]) > 1e-12:
+        raise ConstructionError("periodic density needs equal endpoint values")
+    return rho
 
 
 def load_density(path) -> GridDensity:

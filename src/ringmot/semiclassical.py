@@ -150,11 +150,20 @@ class GammaEta:
 
     Each unique plan coordinate c keeps its base node (`coord_base`) and its
     window values PB(c - z) / den(z) (`coord_windows`, coords x offsets).
+
+    rho must be continuous across the seam, rho(0) = rho(2*pi): otherwise
+    sqrt(rho) is not in H^1 of the ring and the kinetic energy is infinite.
     """
 
     def __init__(self, plan: DiscretePlan, rho: GridDensity, chi: Mollifier, eta: float):
         if np.min(rho.values) <= 0:
             raise DomainError("mollified states need a strictly positive density")
+        r0, r1 = rho.density(0.0), rho.density(TWO_PI)
+        if abs(r0 - r1) > 1e-12:
+            raise DomainError(
+                f"mollified states need a density continuous across the seam: "
+                f"rho(0) = {r0!r} but rho(2*pi) = {r1!r}"
+            )
         alpha = support_separation(plan)
         if not eta > 0:
             raise DomainError("eta must be positive")
@@ -406,34 +415,6 @@ def interaction_energy(gamma: GammaEta, pair: np.ndarray) -> float:
     i, j = np.triu_indices(n, k=1)
     per_atom = 2.0 * e[gamma.coord_index[:, i], gamma.coord_index[:, j]].sum(axis=1)
     return float(np.dot(gamma.plan.weights, per_atom))
-
-
-def periodicity_defect(gamma: GammaEta, num_samples: int = 16) -> float:
-    """Largest seam defect of the one-particle functions under x -> x + 2*pi.
-
-    Compares values and derivatives of sqrt(rho(x)) chi_eta(x - z) computed
-    at x and at x + 2*pi through the actual evaluation paths.
-    """
-    rng = np.random.default_rng(0)
-    zs = rng.uniform(0.0, TWO_PI, num_samples)
-    xs = rng.uniform(0.0, TWO_PI, num_samples)
-    worst = 0.0
-    rho, chi, eta = gamma.rho, gamma.chi, gamma.eta
-
-    def phi_and_slope(x, z):
-        x = np.mod(x, TWO_PI)
-        r = rho.density(x)
-        dr = rho.slope(x)
-        u = _wrap(x - z) / eta
-        val = np.sqrt(r) * chi.chi(u) / np.sqrt(eta)
-        slope = (dr / (2.0 * np.sqrt(r))) * chi.chi(u) / np.sqrt(eta) + np.sqrt(r) * chi.chi_prime(u) / eta**1.5
-        return val, slope
-
-    for z in zs:
-        v0, s0 = phi_and_slope(xs, z)
-        v1, s1 = phi_and_slope(xs + TWO_PI, z)
-        worst = max(worst, float(np.max(np.abs(v0 - v1))), float(np.max(np.abs(s0 - s1))))
-    return worst
 
 
 # -- the upper-bound curve --------------------------------------------------

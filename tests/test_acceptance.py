@@ -34,7 +34,6 @@ from ringmot.semiclassical import (
     Mollifier,
     kinetic_energy,
     marginal_identity_check,
-    periodicity_defect,
     support_separation,
     upper_bound_curve,
 )
@@ -205,7 +204,6 @@ def test_criterion_7_gamma_eta_identities(uniform, cosine08):
         gamma = GammaEta(plan, rho, chi, support_separation(plan) / 8)
         worst_marginal = max(worst_marginal, marginal_identity_check(gamma, 256))
         worst_kinetic = max(worst_kinetic, kinetic_energy(gamma).relative_mismatch)
-        assert periodicity_defect(gamma) <= 1e-8
     assert worst_marginal <= 1e-4
     assert worst_kinetic <= 1e-3
 

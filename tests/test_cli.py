@@ -222,7 +222,7 @@ class TestArtifacts:
         assert rows[0] == "x,v" and len(rows) == 65
         stage = json.loads((out / "manifest.json").read_text())["stages"]["kantorovich"]
         assert set(stage) == {
-            "seed_period_defect", "iterations", "residual_history", "repaired",
+            "seed_period_defect", "iterations", "residual_history",
             "margin_truncated", "margin_full", "lp_truncated", "lp_full", "tile", "tiles_scanned",
             "tiles_total",
         }
@@ -239,7 +239,7 @@ class TestArtifacts:
         assert run(["kantorovich", "--density", specs["density"], "--cost", specs["cost"],
                     "--n", "3", "--grid", "24", "--m", "6", "--out", str(out)]) == 0
         stage = json.loads((out / "manifest.json").read_text())["stages"]["kantorovich"]
-        transforms = stage["iterations"] + stage["repaired"]  # converged: one per iteration
+        transforms = stage["iterations"]  # converged: one per iteration
         assert stage["tiles_total"] == transforms * 24 * (24 // 8) ** 2
         assert transforms * 24 <= stage["tiles_scanned"] < stage["tiles_total"]
 
@@ -276,6 +276,19 @@ class TestArtifacts:
         assert code == 2
         assert f"eps = {named}" in capsys.readouterr().err
         assert not (out / "curve.csv").exists()
+
+    def test_semiclassical_seam_jump_rejected(self, specs, tmp_path, capsys):
+        # rho jumps from 1.5 to 0.5 where 2*pi meets 0: sqrt(rho) is not in H^1 of the
+        # ring, so no trial state has finite kinetic energy and no bound is written
+        density = tmp_path / "seam.json"
+        density.write_text(json.dumps({"nodes": [0.0, np.pi, 2 * np.pi], "values": [0.5, 1.0, 1.5]}))
+        out = tmp_path / "semi"
+        code = run(["semiclassical", "--density", str(density), "--cost", specs["cost"],
+                    "--n", "2", "--eps", "1e-1,1e-2", "--m", "16", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seam" in err and "np.float64" not in err
+        assert not out.exists()
 
     def test_semiclassical_bounded_cost(self, specs, tmp_path):
         # a bounded cost has no support threshold; the curve prices it as given

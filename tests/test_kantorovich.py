@@ -5,7 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringmot.costs import CostModel, InverseProfile, make_ring_cost, truncate
+from ringmot.costs import (
+    CostModel,
+    ExpProfile,
+    InverseProfile,
+    PowerProfile,
+    make_ring_cost,
+    make_torus_cost,
+    truncate,
+)
 from ringmot.errors import DomainError, SizeGuardError
 from ringmot.kantorovich import (
     TILE,
@@ -38,6 +46,20 @@ def ring10(ring_inverse):
 
 def zero_potential(size=65):
     return Potential(uniform_grid(size), np.zeros(size))
+
+
+# bounded costs for the one-step feasibility of the averaged iteration
+ONE_STEP_COSTS = {
+    "ring-inverse-50": truncate(make_ring_cost(InverseProfile()), 50.0),
+    "ring-exp": make_ring_cost(ExpProfile()),
+    "torus-square": make_torus_cost(PowerProfile(2.0)),
+}
+
+
+def random_starts(count=20, size=17):
+    """Seeded starts in [-3, 3], most of them infeasible for the costs above."""
+    rng = np.random.default_rng(0)
+    return [Potential(uniform_grid(size), rng.uniform(-3.0, 3.0, size)) for _ in range(count)]
 
 
 class TestCTransform:
@@ -142,20 +164,42 @@ class TestAveragedIteration:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("max_iters", [0, 3, 400], ids=["repaired", "stopped", "converged"])
     def test_report_margin_is_feasibility_margin(self, ring10, n, max_iters):
-        # with no step the infeasible start is repaired to min(v, v_c), and
-        # the margin then takes one more transform
+        # max_iters = 0 returns the infeasible start as it is; a run that stops
+        # unconverged takes one transform more than it has iterations
         grid = uniform_grid(33)
         v0 = Potential(grid, np.random.default_rng(1).uniform(-3.0, 3.0, 33))
         v, report = averaged_iteration(v0, ring10, n, max_iters)
-        assert report.repaired == (max_iters == 0)
+        assert np.array_equal(v.values, v0.values) == (max_iters == 0)
         assert report.converged == (max_iters == 400)
         assert report.margin == feasibility_margin(v, ring10, n)
-        transforms = report.iterations + (not report.converged) + report.repaired
+        assert (report.margin < -1e-12) == (max_iters == 0)  # every step is feasible
+        transforms = report.iterations + (not report.converged)
         if n == 2:
             assert (report.tiles_scanned, report.tiles_total) == (0, 0)
         else:
             assert report.tiles_total == transforms * 33 * (-(-33 // TILE)) ** 2
             assert transforms * 33 <= report.tiles_scanned <= report.tiles_total
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("cost", list(ONE_STEP_COSTS))
+    def test_one_step_is_feasible(self, cost, n):
+        # c_n is symmetric, so v_c(x_i) + sum_{j != i} v(x_j) <= c_n(x) for each i;
+        # summed over i, ((n-1) v + v_c) / n is feasible whatever v was
+        w = ONE_STEP_COSTS[cost]
+        starts = random_starts()
+        assert min(feasibility_margin(v0, w, n) for v0 in starts) < 0
+        for v0 in starts:
+            v, report = averaged_iteration(v0, w, n, max_iters=1)
+            assert report.iterations == 1 and report.margin == feasibility_margin(v, w, n)
+            assert report.margin >= -1e-12
+
+    @pytest.mark.parametrize("cost", ["ring-inverse-50", "torus-square"])
+    def test_mistaken_weight_is_infeasible(self, cost):
+        # the weight must be 1/n: (v + v_c) / 2 at n = 4 leaves start 3 far from feasible
+        w = ONE_STEP_COSTS[cost]
+        v0 = random_starts()[3]
+        half = Potential(v0.grid, (v0.values + c_transform(v0, w, 4).values) / 2)
+        assert feasibility_margin(half, w, 4) < -1.0
 
     def test_symmetric_density_symmetric_fixed_point(self, cosine, ring10):
         # the iteration map commutes with x -> 2*pi - x; degenerate LP duals
@@ -302,14 +346,17 @@ class TestStaircaseReference:
 
 
 class TestOscillation:
-    def test_constant_potential(self):
-        rep = oscillation_bound_check(Potential(uniform_grid(17), np.full(17, 2.0)), 5.0)
+    def test_constant_potential(self, uniform):
+        # recentered to 2 <rho, v> = 4, v is the constant 4 / 2, inside the box [-2.5, 2.5]
+        v = Potential(uniform_grid(17), np.full(17, 2.0))
+        rep = oscillation_bound_check(v, 5.0, 2, uniform, 4.0)
         assert rep.passed and rep.oscillation == 0.0
+        assert rep.box_passed and rep.box_low == rep.box_high == pytest.approx(2.0, abs=1e-12)
 
-    def test_adversarial_fails(self):
+    def test_adversarial_fails(self, uniform):
         values = np.linspace(0.0, 20.0, 17)
-        rep = oscillation_bound_check(Potential(uniform_grid(17), values), 10.0)
-        assert not rep.passed
+        rep = oscillation_bound_check(Potential(uniform_grid(17), values), 10.0, 2, uniform, 20.0)
+        assert not rep.passed and not rep.box_passed
 
     def test_box_for_certified_potential(self, uniform, ring_inverse):
         cert = certify_potential(uniform, ring_inverse, 2, 64, 8)

@@ -193,9 +193,10 @@ class TestConstruction:
         assert np.array_equal(again.cum, cosine.cum) and np.array_equal(again.slopes, cosine.slopes)
 
     def test_periodic_flag(self):
-        nodes = np.array([0.0, np.pi, TWO_PI])
-        with pytest.raises(ConstructionError):
-            GridDensity.from_values(nodes, np.array([2.0, 1.0, 1.0]), periodic=True, normalize=True)
+        spec = {"nodes": [0.0, np.pi, TWO_PI], "values": [2.0, 1.0, 1.0]}
+        with pytest.raises(ConstructionError, match="equal endpoint values"):
+            density_from_spec({**spec, "periodic": True})
+        assert density_from_spec(spec).density(0.0) == pytest.approx(2.0 / (2.5 * np.pi))
 
     def test_loader_normalizes_to_unit_mass(self, tmp_path):
         spec = {"nodes": [0.0, np.pi, TWO_PI], "values": [3.0, 3.0, 3.0], "periodic": True}

@@ -16,7 +16,6 @@ from ringmot.semiclassical import (
     kinetic_energy,
     marginal_identity_check,
     midpoint_pair_matrix,
-    periodicity_defect,
     sqrt_density_dirichlet,
     support_separation,
     upper_bound_curve,
@@ -344,10 +343,15 @@ class TestKinetic:
 
 
 class TestPeriodicity:
-    def test_seam_defect(self, cosine08, chi):
-        plan = seidl_plan(cosine08, 2, 16)
-        g = GammaEta(plan, cosine08, chi, 0.2)
-        assert periodicity_defect(g) <= 1e-8
+    def test_seam_jump_rejected(self, chi):
+        # rho jumps where 2*pi meets 0, so sqrt(rho) is not in H^1 of the ring
+        rho = GridDensity.from_values([0.0, np.pi, TWO_PI], [0.5, 1.0, 1.5], normalize=True)
+        with pytest.raises(DomainError, match="seam") as err:
+            GammaEta(seidl_plan(rho, 2, 16), rho, chi, 0.05)
+        message = str(err.value)
+        assert f"rho(0) = {0.5 / TWO_PI!r}" in message
+        assert f"rho(2*pi) = {1.5 / TWO_PI!r}" in message
+        assert "np.float64" not in message
 
 
 class TestUpperBound:
