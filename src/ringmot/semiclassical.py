@@ -16,12 +16,14 @@ All integrals use the composite midpoint rule on uniform torus grids. The
 kernels work on windows of the z-grid: a bump is kept on the 2 reach + 1
 nodes around its point's base node, evaluated once per distinct phase of the
 point against the grid, and B is contracted per z-tile over only the
-coordinates whose windows reach that tile.
+coordinates whose windows reach that tile. The interaction prices each
+distinct coordinate pair of an atom on the two coordinates' windows of the
+pair grid (`pairgrid`), where a distance cost is one cost row.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 from typing import NamedTuple
 
@@ -30,8 +32,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import TOL, TWO_PI
 from .costs import CostModel, torus_distance
-from .errors import ConstructionError, DomainError, RegimeError, require_finite
+from .errors import ConstructionError, DomainError, RegimeError, StateError, require_finite
 from .measure1d import GridDensity
+from .pairgrid import PAIR_GRID, midpoint_pair_matrix, midpoints as _midpoints, window_forms
 from .seidl import DiscretePlan, plan_cost, seidl_plan
 
 
@@ -80,11 +83,6 @@ class Mollifier(NamedTuple):
 def _wrap(x):
     """Signed torus representative in [-pi, pi)."""
     return np.mod(np.asarray(x, dtype=float) + np.pi, TWO_PI) - np.pi
-
-
-def _midpoints(k: int) -> np.ndarray:
-    """Nodes of the k-point composite midpoint rule on the torus."""
-    return (np.arange(k) + 0.5) * (TWO_PI / k)
 
 
 def _correlate(samples, offsets, kernel, dz):
@@ -198,6 +196,7 @@ class GammaEta:
         self.coord_base, pb, phase = self._windows(coords)
         self.coord_windows = pb[phase] / self.den[self._window_nodes(self.coord_base)]
         self.contracted = (0, 0)   # (phases, tile_coords) of the latest b_matrix call
+        self.pair_cells = 0        # cost cells of the latest interaction_energy call
 
     def _window_nodes(self, base):
         """z-node indices of each window: (base + offsets) mod quad_grid."""
@@ -376,45 +375,42 @@ def kinetic_energy(gamma: GammaEta) -> KineticReport:
     return KineticReport(float(exact), quadrature, float(rel))
 
 
-PAIR_GRID = 1024   # nodes of the interaction quadrature's midpoint grid
-
-
-def midpoint_pair_matrix(w: CostModel) -> np.ndarray:
-    """The pair cost on the PAIR_GRID-node midpoint grid of the interaction quadrature.
-
-    The cost is taken as given, untruncated. Its +inf cells where two midpoints
-    coincide (the diagonal) are set to 0, as trial states put no pair mass there;
-    any other non-finite cell raises DomainError naming it. A distance cost is
-    read off one cost row (`CostModel.grid_matrix`): PAIR_GRID evaluations, not PAIR_GRID^2.
-    """
-    xs = _midpoints(PAIR_GRID)
-    pair = w.grid_matrix(xs)
-    coincident = np.flatnonzero(np.isposinf(np.diagonal(pair)))
-    pair[coincident, coincident] = 0.0
-    bad = np.argwhere(~np.isfinite(pair))
-    if bad.size:
-        i, j = bad[0]
-        raise DomainError(f"interaction quadrature needs a finite cost off the diagonal: "
-                          f"w({xs[i]:.6g}, {xs[j]:.6g}) = {pair[i, j]} at cell ({i}, {j})")
-    return pair
+PAIR_SLACK = 1e-9  # rounding slack of a pair-grid window's reach, in nodes
 
 
 def interaction_energy(gamma: GammaEta, pair: np.ndarray) -> float:
     """integral of c_n against the diagonal density, via pair-marginal sums.
 
-    `pair` is the cost on a k-node midpoint grid (`midpoint_pair_matrix`);
-    the quadrature runs on that grid, so one matrix serves every gamma of a
-    curve. The permutation sum collapses: every ordered coordinate pair of
-    every atom contributes one smeared pair energy E[a, b]; the pair's supports
-    are disjoint, so `pair`'s diagonal carries no weight.
+    `pair` is the cost M on a k-node midpoint grid (`midpoint_pair_matrix`); the
+    quadrature runs on that grid, so one cost serves every gamma of a curve. The
+    permutation sum collapses: every coordinate pair (a, b) of an atom adds
+    E[a, b] = d_a . M d_b, with d_c(x) = B(x, c) rho(x) dx, priced once per
+    distinct pair. d_c vanishes beyond 2 eta of c, so each sum runs over c's
+    window: the W nodes from ceil(u_c - 2 eta / dx), u_c being c in node units,
+    wrapped around the seam; StateError names a coordinate whose window misses a
+    nonzero of d_c. `window_forms` contracts the (W x W) blocks of M between the
+    windows. The supports are disjoint, so M's diagonal carries no weight.
+    `gamma.pair_cells` records the cells contracted.
     """
-    xs = _midpoints(pair.shape[0])
-    d = (gamma.b_matrix(xs) * (gamma.rho.density(xs) * (TWO_PI / xs.size))[:, None])
-    e = d.T @ pair @ d
-    n = gamma.n
-    i, j = np.triu_indices(n, k=1)
-    per_atom = 2.0 * e[gamma.coord_index[:, i], gamma.coord_index[:, j]].sum(axis=1)
-    return float(np.dot(gamma.plan.weights, per_atom))
+    k = pair.shape[-1]
+    xs = _midpoints(k)
+    d = gamma.b_matrix(xs) * (gamma.rho.density(xs) * (TWO_PI / k))[:, None]
+    span = 2 * gamma.eta * (k / TWO_PI) + PAIR_SLACK
+    lo = np.ceil(gamma.coords * (k / TWO_PI) - 0.5 - span).astype(int)
+    width = int(2 * span) + 1
+    nodes = (lo[:, None] + np.arange(width)) % k
+    windows = np.take_along_axis(d, nodes.T, 0).T
+    missed = np.count_nonzero(d, 0) - np.count_nonzero(windows, 1)
+    if missed.any():
+        c = np.argmax(missed)
+        needed = np.max(np.abs(_wrap(xs[d[:, c] > 0] - gamma.coords[c]))) * (k / TWO_PI)
+        raise StateError(f"pair-grid window of coordinate {c} (x = {gamma.coords[c]:.6g}) misses B: "
+                         f"its W = {width} nodes reach {span:.6g} either side, B reaches {needed:.6g}")
+    ab = np.sort(gamma.coord_index[:, list(combinations(range(gamma.n), 2))], -1)
+    pairs, inverse = np.unique(ab.reshape(-1, 2), axis=0, return_inverse=True)
+    e = window_forms(pair, nodes, windows, pairs)
+    gamma.pair_cells = len(pairs) * width**2
+    return float(np.dot(gamma.plan.weights, 2.0 * e[inverse].reshape(ab.shape[:2]).sum(1)))
 
 
 # -- the upper-bound curve --------------------------------------------------
@@ -426,6 +422,7 @@ class BoundPoint(NamedTuple):
     reach: int            # z-grid steps of the bump's half-width at this eta
     phases: int           # distinct bump phases of the interaction grid's points
     tile_coords: int      # coordinate columns contracted on the interaction grid, over tiles
+    pair_cells: int       # cost cells contracted by interaction_energy
     kinetic: float
     interaction: float
     bound: float
@@ -448,7 +445,7 @@ class BoundCurve(NamedTuple):
             "cap": self.cap,
             "rows": [
                 {"eps": p.eps, "eta": p.eta, "reach": p.reach, "phases": p.phases,
-                 "tile_coords": p.tile_coords}
+                 "tile_coords": p.tile_coords, "pair_cells": p.pair_cells}
                 for p in self.points
             ],
             "states": self.states,
@@ -498,12 +495,12 @@ def upper_bound_curve(
     alpha = support_separation(plan)
     cap = alpha / 8.0
     pair = midpoint_pair_matrix(w)
-    priced = {}   # eta -> (interaction, reach, phases, tile_coords)
+    priced = {}   # eta -> (interaction, reach, phases, tile_coords, pair_cells)
 
     def price(eta):
         if eta not in priced:
             gamma = GammaEta(plan, rho, chi, eta)
-            priced[eta] = (interaction_energy(gamma, pair), gamma.reach, *gamma.contracted)
+            priced[eta] = (interaction_energy(gamma, pair), gamma.reach, *gamma.contracted, gamma.pair_cells)
         return priced[eta]
 
     # probe the smearing error coefficient at the widest admissible width

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ringmot import semiclassical
 from ringmot.config import TOL
-from ringmot.costs import CostModel, support_thresholds, truncate
-from ringmot.errors import ConstructionError, DomainError, RegimeError
+from ringmot.costs import CostModel, ExpProfile, make_graph_cost, support_thresholds, truncate
+from ringmot.errors import ConstructionError, DomainError, RegimeError, StateError
 from ringmot.measure1d import GridDensity
 from ringmot.seidl import DiscretePlan, plan_cost, seidl_plan
 from ringmot.semiclassical import (
+    PAIR_GRID,
     TILE,
     GammaEta,
     Mollifier,
@@ -470,13 +473,128 @@ class TestUpperBound:
         assert bare == upper_bound_curve(rho, w_h, n, eps, m=24)
 
     def test_singular_diagonal_zeroed(self, ring_inverse):
-        pair = midpoint_pair_matrix(ring_inverse)
-        assert np.all(np.diagonal(pair) == 0.0)
-        off = ~np.eye(pair.shape[0], dtype=bool)
-        grid = ring_inverse.grid_matrix(semiclassical._midpoints(pair.shape[0]))
-        assert np.array_equal(pair[off], grid[off])
+        # a distance cost is kept as its one cost row, row[j] = w(x_0, x_j)
+        row = midpoint_pair_matrix(ring_inverse)
+        assert row.shape == (PAIR_GRID,) and row[0] == 0.0
+        grid = ring_inverse.grid_matrix(semiclassical._midpoints(PAIR_GRID))
+        assert np.array_equal(row[1:], grid[0, 1:])
 
     def test_off_diagonal_inf_rejected(self):
         sticky = CostModel("sticky", profile=lambda d: np.where(d < 0.1, np.inf, 1.0))
         with pytest.raises(DomainError, match=r"= inf at cell \(0, 1\)"):
             midpoint_pair_matrix(sticky)
+
+    def test_graph_off_diagonal_inf_rejected(self):
+        # a graph cost keeps its dense matrix, checked cell by cell
+        sticky = make_graph_cost(np.zeros_like, lambda r: np.where(r < 0.1, np.inf, 1.0))
+        pair = midpoint_pair_matrix(make_graph_cost(np.zeros_like, lambda r: 1.0 + 0.0 * r))
+        assert pair.shape == (PAIR_GRID, PAIR_GRID)
+        with pytest.raises(DomainError, match=r"= inf at cell \(0, 1\)"):
+            midpoint_pair_matrix(sticky)
+
+
+def seeded_graph_cost(seed):
+    """Graph cost on [0, 2 pi] whose f is a seeded convex non-increasing hinge mixture."""
+    rng = np.random.default_rng(seed)
+    knots, amps = np.sort(rng.uniform(0.1, TWO_PI, 4)), rng.uniform(0.05, 1.0, 4)
+
+    def f(t):
+        return np.sum(amps * np.maximum(0.0, knots - np.asarray(t, dtype=float)[..., None]), axis=-1)
+
+    return make_graph_cost(f, ExpProfile(rate=1.0))
+
+
+def dense_interaction(g, w):
+    """The interaction as the full product d.T @ M @ d on the pair grid, M from `grid_matrix`."""
+    xs = semiclassical._midpoints(PAIR_GRID)
+    m = w.grid_matrix(xs)
+    m[np.eye(PAIR_GRID, dtype=bool) & np.isposinf(m)] = 0.0
+    d = g.b_matrix(xs) * (g.rho.density(xs) * (TWO_PI / PAIR_GRID))[:, None]
+    e = d.T @ m @ d
+    i, j = np.triu_indices(g.n, k=1)
+    per_atom = 2.0 * e[g.coord_index[:, i], g.coord_index[:, j]].sum(axis=1)
+    return float(np.dot(g.plan.weights, per_atom))
+
+
+class TestBandedInteraction:
+    """interaction_energy prices each atom's coordinate pairs on their pair-grid windows."""
+
+    RTOL = 1e-13   # relative bound against the dense product
+    EPS = [1e-1, 1e-2, 1e-3, 1e-4]
+
+    @pytest.fixture(scope="class")
+    def costs(self, ring_inverse, ring_exp2, torus_linear):
+        return {"ring-inverse": ring_inverse, "ring-exp": ring_exp2,
+                "torus-linear": torus_linear, "graph": seeded_graph_cost(3)}
+
+    @pytest.mark.parametrize("name", ["ring-inverse", "ring-exp", "torus-linear", "graph"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_dense_product(self, costs, cosine08, chi, name, n):
+        w = costs[name]
+        plan = seidl_plan(cosine08, n, 24)
+        curve = upper_bound_curve(cosine08, w, n, self.EPS, m=24)
+        pair = midpoint_pair_matrix(w)
+        for eta in (support_separation(plan) / 8, curve.points[-1].eta):
+            g = GammaEta(plan, cosine08, chi, eta)
+            dense = dense_interaction(g, w)
+            assert interaction_energy(g, pair) == pytest.approx(dense, rel=self.RTOL, abs=0.0)
+        assert curve.points[-1].eta < curve.cap
+
+    @pytest.mark.parametrize("name", ["ring-inverse", "graph"])
+    def test_seam_windows(self, costs, uniform, chi, name):
+        # both atoms have a coordinate whose 2 eta window wraps around 0 = 2 pi
+        plan = DiscretePlan(np.array([[TWO_PI - 0.05, np.pi - 0.05], [0.03, np.pi + 0.03]]),
+                            np.array([0.5, 0.5]))
+        w = costs[name]
+        for eta in (0.05, 0.2):
+            g = GammaEta(plan, uniform, chi, eta)
+            dense = dense_interaction(g, w)
+            assert interaction_energy(g, midpoint_pair_matrix(w)) == pytest.approx(
+                dense, rel=self.RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["ring-inverse", "graph"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_near_regime_boundary(self, costs, cosine08, chi, name, n):
+        # at eta near alpha / 4 the windows of a pair nearly touch, and some blocks
+        # hold cells across the seam, which the disjoint supports weight by 0
+        plan = seidl_plan(cosine08, n, 24)
+        g = GammaEta(plan, cosine08, chi, 0.249 * support_separation(plan))
+        dense = dense_interaction(g, costs[name])
+        assert interaction_energy(g, midpoint_pair_matrix(costs[name])) == pytest.approx(
+            dense, rel=self.RTOL, abs=0.0)
+
+    def test_short_window_trips_guard(self, monkeypatch, cosine08, chi, ring_inverse):
+        plan = seidl_plan(cosine08, 2, 24)
+        g = GammaEta(plan, cosine08, chi, 0.05)
+        pair = midpoint_pair_matrix(ring_inverse)
+        interaction_energy(g, pair)
+        # one node short on each side: 2 eta = 16.3 nodes, the window reaches 15.3
+        monkeypatch.setattr(semiclassical, "PAIR_SLACK", -1.0)
+        with pytest.raises(StateError, match=r"coordinate 1 \(x = 0.218942\) misses B: "
+                                              r"its W = 31 nodes reach 15.2975 either side, "
+                                              r"B reaches 16.1821"):
+            interaction_energy(g, pair)
+
+    def test_pair_cells(self, cosine08, chi, ring_inverse):
+        # each distinct coordinate pair of an atom is priced once, on a W x W block
+        plan = seidl_plan(cosine08, 3, 24)
+        eta = support_separation(plan) / 8
+        g = GammaEta(plan, cosine08, chi, eta)
+        interaction_energy(g, midpoint_pair_matrix(ring_inverse))
+        pairs = {tuple(sorted(row[[i, j]])) for row in g.coord_index for i, j in ((0, 1), (0, 2), (1, 2))}
+        width = int(4 * eta / (TWO_PI / PAIR_GRID)) + 1
+        assert g.pair_cells == len(pairs) * width**2
+        curve = upper_bound_curve(cosine08, ring_inverse, 3, self.EPS, m=24)
+        assert curve.points[0].eta == eta and curve.points[0].pair_cells == g.pair_cells
+        assert all(p.pair_cells < PAIR_GRID**2 for p in curve.points)
+
+    def test_peak_memory(self, uniform, ring_inverse):
+        # no array of PAIR_GRID^2 entries (8.4 MB) is built for a distance cost
+        upper_bound_curve(uniform, ring_inverse, 2, self.EPS, m=16)
+        tracemalloc.start()
+        try:
+            upper_bound_curve(uniform, ring_inverse, 2, self.EPS, m=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
