@@ -19,9 +19,19 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+# OpenBLAS starts one busy-waiting worker per core when numpy loads. The
+# matrices here are tens to a few hundred rows, so the pool only burned about
+# 0.13 s of CPU per command on 2 cores, and the LP's pivots followed the
+# thread count. One thread by default keeps data outputs independent of the
+# core count; a caller's own value wins. This runs at import, so importers
+# such as perfbench/tracer.py get it too, unless numpy is already loaded: then
+# it cannot apply, and the manifest records null.
+BLAS_THREADS = None if "numpy" in sys.modules else os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -62,6 +72,7 @@ def run(args) -> int:
         "parameters": {k: v for k, v in vars(args).items() if k != "func"},
         "inputs": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
         "versions": {"ringmot": __version__, "numpy": np.__version__},
+        "blas_threads": BLAS_THREADS,
         "stages": stages,
         "wall_time_s": time.perf_counter() - started,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

@@ -1,3 +1,8 @@
+import os
+
+# the CLI's default (ringmot/cli.py): the in-process suite computes on one BLAS thread
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

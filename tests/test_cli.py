@@ -206,6 +206,8 @@ class TestArtifacts:
         assert (out / "plan.csv").exists() and (out / "duals.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["inputs"]) == {specs["density"], specs["cost"]}
+        # in process numpy loads before ringmot.cli, so the BLAS default could not apply
+        assert manifest["blas_threads"] is None
         simplex = manifest["stages"]["simplex"]
         assert set(simplex) == {"iterations", "phase1_pivots", "degenerate_pivots", "lex_ties", "start"}
         assert simplex["iterations"] == result["iterations"]
@@ -359,24 +361,50 @@ class TestDeterminism:
         assert m1 == m2
 
 
-# Run in a fresh interpreter: import ringmot.cli, then every subcommand but
-# swap-demo, reporting the ringmot modules and numpy.ma loaded after each phase.
+# Run in a fresh interpreter: import the package, then ringmot.cli, then every
+# subcommand but swap-demo, reporting the ringmot modules and numpy.ma loaded
+# after each phase, whether the package import loaded numpy, and the BLAS
+# thread variable the CLI import left.
 STARTUP_PROBE = """
-import json, sys
+import json, os, sys
+import ringmot
+package_numpy = "numpy" in sys.modules
 import ringmot.cli
 
 def loaded():
     return sorted(m for m in sys.modules
                   if m.startswith("ringmot.") or m in ("numpy.ma", "dataclasses"))
 
-after_import = loaded()
-codes = [ringmot.cli.main(args) for args in json.loads(sys.argv[1])]
-print(json.dumps({"import": after_import, "codes": codes, "run": loaded()}))
+report = {"package_numpy": package_numpy, "import": loaded(),
+          "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+          "grid_density": ringmot.GridDensity is ringmot.measure1d.GridDensity}
+report["codes"] = [ringmot.cli.main(args) for args in json.loads(sys.argv[1])]
+report["run"] = loaded()
+print(json.dumps(report))
 """
 
 # the modules perfbench/tracer.py looks up in sys.modules right after import
 TRACED_MODULES = ["ringmot." + m for m in (
     "measure1d", "costs", "seidl", "mmot", "simplex", "kantorovich", "semiclassical")]
+
+
+def fresh_env(blas_threads=None):
+    """This process's environment with ringmot's source first on PYTHONPATH and
+    OPENBLAS_NUM_THREADS set to ``blas_threads`` (removed if None)."""
+    src = str(Path(ringmot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+def fresh_python(argv, env):
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestStartup:
@@ -391,15 +419,11 @@ class TestStartup:
         ]
         for k, args in enumerate(commands):
             args += ["--out", str(tmp_path / f"out{k}")]
-        src = str(Path(ringmot.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", STARTUP_PROBE, json.dumps(commands)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.splitlines()[-1])
+        stdout = fresh_python(["-c", STARTUP_PROBE, json.dumps(commands)], fresh_env())
+        report = json.loads(stdout.splitlines()[-1])
+        assert report["package_numpy"] is False
+        assert report["blas"] == "1"
+        assert report["grid_density"] is True
         assert set(TRACED_MODULES) <= set(report["import"])
         assert "ringmot.swaplab" not in report["import"]
         assert "dataclasses" not in report["import"]
@@ -407,3 +431,27 @@ class TestStartup:
         assert "ringmot.swaplab" not in report["run"]
         assert "numpy.ma" not in report["run"]
         assert "dataclasses" not in report["run"]
+        for k in range(len(commands)):
+            manifest = json.loads((tmp_path / f"out{k}" / "manifest.json").read_text())
+            assert manifest["blas_threads"] == "1"
+
+    def test_preset_blas_threads_kept(self):
+        probe = ("import json, os, ringmot.cli; "
+                 "print(json.dumps([os.environ['OPENBLAS_NUM_THREADS'], ringmot.cli.BLAS_THREADS]))")
+        assert json.loads(fresh_python(["-c", probe], fresh_env("2"))) == ["2", "2"]
+
+    def test_lp_bytes_do_not_depend_on_blas_default(self, tmp_path):
+        # the LP's pivots follow OpenBLAS's thread count; unset must mean one thread
+        density = tmp_path / "cosine08.json"
+        density.write_text(json.dumps(GridDensity.cosine(amplitude=0.8).to_spec()))
+        cost = tmp_path / "ring.json"
+        cost.write_text(json.dumps(
+            {"kind": "ring", "profile": {"kind": "inverse", "params": {"scale": 1.0}}}))
+        outs = {}
+        for label, threads in (("unset", None), ("one", "1")):
+            outs[label] = tmp_path / label
+            fresh_python(["-m", "ringmot.cli", "mmot-solve", "--density", str(density),
+                          "--cost", str(cost), "--n", "3", "--m", "48",
+                          "--out", str(outs[label])], fresh_env(threads))
+        for name in ("result.json", "plan.csv", "duals.csv"):
+            assert (outs["unset"] / name).read_bytes() == (outs["one"] / name).read_bytes(), name
