@@ -19,7 +19,7 @@ the grid resolution so failures are reproducible.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,9 @@ from .errors import (
     ThresholdNotFoundError,
     require_finite,
 )
-from .measure1d import GridDensity
+
+if TYPE_CHECKING:
+    from .measure1d import GridDensity
 
 
 def torus_distance(x, y):

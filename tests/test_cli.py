@@ -455,3 +455,56 @@ class TestStartup:
                           "--out", str(outs[label])], fresh_env(threads))
         for name in ("result.json", "plan.csv", "duals.csv"):
             assert (outs["unset"] / name).read_bytes() == (outs["one"] / name).read_bytes(), name
+
+    def test_cli_import_registers_solver_modules_unexecuted(self):
+        probe = """
+import json, sys, types
+import ringmot, ringmot.cli
+names = json.loads(sys.argv[1])
+report = {"registered": [m for m in names if m in sys.modules],
+          "executed": [m for m in names if type(sys.modules.get(m)) is types.ModuleType],
+          "on_package": ringmot.__dict__.get("costs") is sys.modules["ringmot.costs"]}
+from ringmot.kantorovich import certify_potential
+report["library"] = [certify_potential.__name__, ringmot.costs.load_cost.__name__]
+print(json.dumps(report))
+"""
+        stdout = fresh_python(["-c", probe, json.dumps(TRACED_MODULES)], fresh_env())
+        report = json.loads(stdout.splitlines()[-1])
+        assert report["registered"] == TRACED_MODULES
+        assert report["executed"] == []
+        assert report["on_package"] is True
+        assert report["library"] == ["certify_potential", "load_cost"]
+
+    def test_plain_import_executes_eagerly(self):
+        # costs needs measure1d's GridDensity for an annotation only
+        probe = ("import json, sys, types, ringmot.costs; print(json.dumps(["
+                 "type(sys.modules['ringmot.costs']) is types.ModuleType, "
+                 "'ringmot.measure1d' in sys.modules]))")
+        assert json.loads(fresh_python(["-c", probe], fresh_env())) == [True, False]
+
+    @pytest.mark.parametrize(
+        "cmd, executed",
+        [
+            (["check-wellordering", "--cost", "{cost}", "--grid", "16"], ["costs"]),
+            (["seidl-plan", "--density", "{density}", "--n", "2", "--m", "4"],
+             ["costs", "measure1d", "seidl"]),
+            (["mmot-solve", "--density", "{density}", "--cost", "{cost}", "--n", "2", "--m", "4"],
+             ["costs", "measure1d", "mmot", "seidl", "simplex"]),
+            (["kantorovich", "--density", "{density}", "--cost", "{cost}",
+              "--n", "2", "--grid", "32", "--m", "4"],
+             ["costs", "kantorovich", "measure1d", "mmot", "seidl", "simplex"]),
+            (["semiclassical", "--density", "{density}", "--cost", "{cost}",
+              "--n", "2", "--eps", "1e-1,1e-2", "--m", "8"],
+             ["costs", "measure1d", "pairgrid", "seidl", "semiclassical"]),
+        ],
+        ids=["check-wellordering", "seidl-plan", "mmot-solve", "kantorovich", "semiclassical"],
+    )
+    def test_manifest_lists_executed_modules(self, specs, tmp_path, cmd, executed):
+        args = [a.format(**specs) for a in cmd]
+        # python -m, and the console script's own call: import ringmot.cli, then main()
+        entries = {"module": ["-m", "ringmot.cli"],
+                   "script": ["-c", "import sys, ringmot.cli; sys.exit(ringmot.cli.main())"]}
+        for label, entry in entries.items():
+            fresh_python([*entry, *args, "--out", str(tmp_path / label)], fresh_env())
+            manifest = json.loads((tmp_path / label / "manifest.json").read_text())
+            assert manifest["modules"] == ["ringmot." + m for m in executed], label
