@@ -35,12 +35,10 @@ TOL = Tolerances()
 TWO_PI = 6.283185307179586476925286766559
 
 
-def gap_tolerance(grid_size: int, marginal_size: int) -> float:
-    """Duality-gap budget: grid error plus quantization error.
+def gap_tolerance(grid_size: int) -> float:
+    """Duality-gap budget on the grid: 10/g.
 
-    The 10/m term budgets a gap priced against the m-atom LP value. The
-    Kantorovich gap is priced against the grid measure's own staircase, which
-    has no quantization error, so that term no longer bounds anything the gap
-    measures and the budget is far looser than the gaps it gates.
+    The gap is priced against the grid measure's own staircase, which has no
+    quantization error, so the budget has no term in the LP's m.
     """
-    return 10.0 / grid_size + 10.0 / marginal_size
+    return 10.0 / grid_size

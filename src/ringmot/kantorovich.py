@@ -111,13 +111,6 @@ def _doubled_pair_matrix(grid: np.ndarray, w: CostModel, n: int) -> _PairMatrix:
     return _PairMatrix(pair2, blocks, blocks.min(axis=(1, 2)).reshape(nb, nb))
 
 
-def _bounded_pair_matrix(grid: np.ndarray, w: CostModel, n: int) -> _PairMatrix:
-    pair = _doubled_pair_matrix(grid, w, n)
-    if not np.all(np.isfinite(pair.full)):
-        raise DomainError("cost is unbounded on the grid; truncate first")
-    return pair
-
-
 def _min_plus(pair: _PairMatrix, u: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
     """min over y_1..y_k of sum_j pair2[x, y_j] + sum_{j<l} pair2[y_j, y_l] - sum_j u[y_j].
 
@@ -211,10 +204,11 @@ def _tiled_min_plus(pair: _PairMatrix, u: np.ndarray) -> tuple[np.ndarray, int, 
 def c_transform(v: Potential, w: CostModel, n: int) -> Potential:
     """u_c(x) = min over the grid of c_n(x, y_1..y_{n-1}) - sum u(y_j).
 
-    Requires a bounded cost; the transform of a bounded function is
-    continuous with the modulus of c_n in its first argument.
+    The cost is taken as given: +inf cells never attain the minimum, and a
+    transform that is +inf somewhere is rejected by `Potential`. For a
+    bounded cost it is continuous with the modulus of c_n in its first argument.
     """
-    values, _, _ = _min_plus(_bounded_pair_matrix(v.grid, w, n), v.values, n - 1)
+    values, _, _ = _min_plus(_doubled_pair_matrix(v.grid, w, n), v.values, n - 1)
     return Potential(v.grid, values)
 
 
@@ -247,7 +241,7 @@ def averaged_iteration(
     a constant added to v, since v_c drops by (n-1) times it: from the first
     step on, the iterates are those of v0 shifted to margin 0.
     """
-    pair = _bounded_pair_matrix(v0.grid, w, n)
+    pair = _doubled_pair_matrix(v0.grid, w, n)
     scanned = total = 0
 
     def transform(values):
@@ -506,7 +500,7 @@ def certify_potential(
     v0, defect = comotion_potential(rho, w_h, n, grid)
     v, report = averaged_iteration(v0, w_h, n, max_iters=2000)
 
-    gap_tol = gap_tolerance(grid_size, m)
+    gap_tol = gap_tolerance(grid_size)
     reference = staircase_value(rho, grid, w_h, n)
     gap = duality_gap(rho, v, reference, n)
     osc_report = oscillation_bound_check(v, n * (n - 1) * thresholds.h, n, rho, reference)

@@ -7,16 +7,11 @@ big-M'd so the duals stay clean. One redundant marginal constraint per
 extra marginal is dropped to keep the rows full rank, and rows are scaled
 to unit norm before solving; stated tolerances apply after scaling.
 
-The simplex starts at the staircase basis: a multi-index north-west-corner
-rule on the n marginals, marginal i rotated by floor(i m / n), gives
-m + (n-1)(m-1) cells, one per row, with non-negative masses (Bein, Brucker,
-Park and Pathak 1995). For uniform weights and n dividing m its cells of
-positive mass are exactly the index rows of `seidl.seidl_plan`, each at
-mass 1/m, and the rest are zero-mass steps between them, so phase 1 is
-skipped. When a staircase cell has infinite cost (m < 2n puts two
-marginals on one atom) the solve starts from the artificial basis instead.
-The start is not part of the certificate: phase 2 prices every cell, and
-the residual check still runs.
+The simplex starts at the north-west-corner staircase (`seidl.staircase`),
+whose mass-1/m cells are the Seidl plan, so phase 1 is skipped. When a
+staircase cell has infinite cost (m < 2n puts two marginals on one atom) the
+solve starts from the artificial basis instead. The start is not part of the
+certificate: phase 2 prices every cell, and the residual check still runs.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ import numpy as np
 from .config import TOL
 from .costs import CostModel
 from .errors import DomainError, SizeGuardError, StateError
-from .seidl import DiscreteMarginal, DiscretePlan, quantize  # quantize: the oracle's input, importable here
+from .seidl import DiscreteMarginal, DiscretePlan, quantize, staircase  # quantize: importable here
 from .simplex import solve_equality_lp
 
 
@@ -59,12 +54,12 @@ def _residuals(marginal, n, digits, costs, mass, duals, value) -> dict:
     primal = 0.0
     for i in range(n):
         got = np.bincount(digits[:, i], weights=mass, minlength=marginal.m)
-        primal = max(primal, float(np.max(np.abs(got - marginal.weights))))
+        primal = max(primal, float(np.max(np.abs(got - 1.0 / marginal.m))))
     dual_at_cells = duals[np.arange(n)[None, :], digits].sum(axis=1)
     dual_feas = float(np.max(dual_at_cells - costs))
     support = mass > 1e-10
     slack = float(np.max(np.abs(costs[support] - dual_at_cells[support]))) if support.any() else 0.0
-    dual_obj = float(n * np.dot(marginal.weights, duals.mean(axis=0)))
+    dual_obj = float(duals.sum()) / marginal.m
     return {
         "primal_violation": primal,
         "dual_infeasibility": dual_feas,
@@ -84,32 +79,6 @@ def _cell_costs(marginal: DiscreteMarginal, n: int, w: CostModel):
         for j in range(i + 1, n):
             costs += 2.0 * pair[digits[:, i], digits[:, j]]
     return digits, costs
-
-
-def staircase(marginal: DiscreteMarginal, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cells (m + (n-1)(m-1), n) and masses of the north-west-corner staircase.
-
-    Marginal i is walked from atom floor(i m / n) around the ring. Each
-    step puts the smallest residual mass on the current cell, then moves
-    on one marginal whose residual that exhausted: the lowest-index one
-    not yet at its last atom. Every step after the first reaches a new
-    atom, so the cells' columns are independent and form a basis.
-    """
-    m, w = marginal.m, marginal.weights
-    shift = np.arange(n) * m // n
-    step = np.zeros(n, dtype=np.intp)
-    residual = w[shift]
-    cells, mass = [], []
-    while True:
-        cells.append((step + shift) % m)
-        mass.append(residual.min())
-        residual = residual - mass[-1]
-        open_ = step < m - 1
-        if not open_.any():
-            return np.array(cells), np.array(mass)
-        i = int(np.argmin(np.where(open_, residual, np.inf)))
-        step[i] += 1
-        residual[i] = w[(step[i] + shift[i]) % m]
 
 
 def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
@@ -136,7 +105,7 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     columns = np.flatnonzero(finite)  # flat cell index of each LP column, ascending
     digits = digits[finite]
     costs = costs[finite]
-    flat = np.ravel_multi_index(staircase(marginal, n)[0].T, (m,) * n)
+    flat = np.ravel_multi_index(staircase(m, n)[0].T, (m,) * n)
     at = np.minimum(np.searchsorted(columns, flat), columns.size - 1)
     start = at if np.array_equal(columns[at], flat) else None
 
@@ -151,7 +120,7 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
         keep = digits[:, i] < m - 1
         col_rows[keep, i] = row_id(i, digits[keep, i])
 
-    b = np.concatenate([marginal.weights] + [marginal.weights[:-1]] * (n - 1))
+    b = np.full(n_rows, 1.0 / m)
     counts = np.bincount(col_rows[col_rows >= 0].ravel(), minlength=n_rows)
     scale = 1.0 / np.sqrt(np.maximum(counts, 1))
     col_coeffs = np.where(col_rows >= 0, scale[np.maximum(col_rows, 0)], 0.0)
@@ -192,7 +161,7 @@ def symmetrized_duals(sol: LPSolution) -> np.ndarray:
 
     Coordinate exchange maps optimal duals to optimal duals for symmetric
     problems, so the average stays dual-feasible and reproduces the value:
-    n * sum_j weight_j v_j = optimal cost.
+    n * sum_j v_j / m = optimal cost.
     """
     if sol.status != "optimal":
         raise StateError("duals require an optimal solution")

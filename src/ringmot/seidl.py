@@ -3,9 +3,9 @@
 The map T shifts CDF mass by 1/n modulo 1, so T^k is t -> t + k/n mod 1 in
 the quantile variable. On the m midpoint-quantile atoms (`quantize`), with n
 dividing m, that is the index shift j -> j + k m/n mod m, so every plan
-coordinate is exactly an atom the LP oracle solves over, and the plan's cells
-are those `mmot.staircase` holds at mass 1/m. `mass_staircase` is the same
-plan for any discrete measure, by cumulative mass.
+coordinate is exactly an atom the LP oracle solves over: the plan's rows are
+the mass-1/m cells of `staircase`, the LP's start basis. `mass_staircase` is
+the same plan for any discrete measure, by cumulative mass.
 """
 
 from __future__ import annotations
@@ -46,24 +46,20 @@ class SeidlMap(Checked, NamedTuple("_SeidlMap", [("rho", GridDensity), ("n", int
         return self.rho.quantile(np.where(q > 1.0, q - 1.0, q))
 
 
-class DiscreteMarginal(Checked, NamedTuple("_Marginal", [("atoms", np.ndarray), ("weights", np.ndarray)])):
-    """Atomic approximation of a density: distinct atoms with positive weights."""
+class DiscreteMarginal(Checked, NamedTuple("_Marginal", [("atoms", np.ndarray)])):
+    """Atomic approximation of a density: m distinct atoms, each of mass 1/m."""
 
     __slots__ = ()
 
-    def __new__(cls, atoms, weights):
+    def __new__(cls, atoms):
         atoms = np.asarray(atoms, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if atoms.ndim != 1 or atoms.shape != weights.shape:
-            raise DomainError("atoms and weights must be 1d arrays of equal length")
+        if atoms.ndim != 1:
+            raise DomainError("atoms must be a 1d array")
         require_finite("atoms", atoms, DomainError)
-        require_finite("weights", weights, DomainError)
         ordered = np.sort(atoms)
         if np.any(ordered[1:] == ordered[:-1]):
             raise DomainError("atoms must be distinct")
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > TOL.mass_tol:
-            raise DomainError("weights must be positive and sum to 1")
-        return super().__new__(cls, atoms, weights)
+        return super().__new__(cls, atoms)
 
     @property
     def m(self) -> int:
@@ -71,10 +67,30 @@ class DiscreteMarginal(Checked, NamedTuple("_Marginal", [("atoms", np.ndarray), 
 
 
 def quantize(rho: GridDensity, m: int) -> DiscreteMarginal:
-    """Midpoint-quantile atoms Q((j + 1/2) / m), j = 0 .. m-1, with uniform weights 1/m."""
+    """Midpoint-quantile atoms Q((j + 1/2) / m), j = 0 .. m-1."""
     if m < 1:
         raise DomainError("need at least one atom")
-    return DiscreteMarginal(rho.quantile((np.arange(1, m + 1) - 0.5) / m), np.full(m, 1.0 / m))
+    return DiscreteMarginal(rho.quantile((np.arange(1, m + 1) - 0.5) / m))
+
+
+def staircase(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (m + (n-1)(m-1), n) of atom indices and masses of the north-west-corner staircase.
+
+    This is the multi-index north-west-corner rule on n copies of m atoms of
+    mass 1/m, marginal i rotated by floor(i m / n) (Bein, Brucker, Park and
+    Pathak 1995). At step j every marginal sits on its atom j, a cell of
+    mass 1/m; marginals 0 .. n-2 then move on to atom j + 1 one at a time,
+    n - 1 cells of mass 0, and marginal n - 1 follows into step j + 1. Every
+    cell after the first reaches a new atom, so the cells' columns are
+    independent and form a basis of the LP's marginal rows. With n dividing
+    m the mass-1/m cells are the Seidl plan's rows j, j + m/n, ... mod m.
+    """
+    shift = np.arange(n) * m // n
+    moved = np.tri(n, n, -1, dtype=np.intp)  # row s: marginals 0 .. s-1 on atom j + 1
+    cells = (np.arange(m)[:, None, None] + moved + shift) % m
+    keep = m + (n - 1) * (m - 1)
+    mass = np.where(np.arange(keep) % n == 0, 1.0 / m, 0.0)
+    return cells.reshape(m * n, n)[:keep], mass
 
 
 class DiscretePlan(Checked, NamedTuple("_Plan", [("atoms", np.ndarray), ("weights", np.ndarray)])):
@@ -126,13 +142,14 @@ def plan_from_csv(path) -> DiscretePlan:
 def seidl_plan(rho: GridDensity, n: int, m: int, symmetrize: bool = False) -> DiscretePlan:
     """Plan on `quantize(rho, m)` whose row j holds atoms j, j + m/n, ..., j + (n-1) m/n mod m.
 
-    m must be a multiple of n so the shift m/n is a whole number of atoms.
+    These are the mass-1/m cells of `staircase(m, n)`. m must be a multiple
+    of n so the shift m/n is a whole number of atoms.
     """
     if n < 2 or m < n or m % n != 0:
         raise DomainError(f"need n >= 2 marginals and m a positive multiple of n: got n = {n}, m = {m}")
-    marginal = quantize(rho, m)
-    rows = (np.arange(m)[:, None] + np.arange(n) * (m // n)) % m
-    plan = DiscretePlan(marginal.atoms[rows], marginal.weights)
+    cells, mass = staircase(m, n)
+    on = mass > 0
+    plan = DiscretePlan(quantize(rho, m).atoms[cells[on]], mass[on])
     return plan.symmetrized() if symmetrize else plan
 
 

@@ -111,9 +111,20 @@ class TestCTransform:
         with pytest.raises(SizeGuardError, match=r"1001\^2 = 1002001 exceeds .* 1000000"):
             c_transform(zero_potential(1001), ring10, 3)
 
-    def test_unbounded_rejected(self, ring_inverse):
-        with pytest.raises(DomainError):
-            c_transform(zero_potential(17), ring_inverse, 2)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_singular_cost_taken_as_given(self, ring_inverse, n):
+        # the inclusive grid of g nodes holds g - 1 ring points; the +inf diagonal
+        # leaves a finite tuple at every x once there are n of them, and the
+        # transform is then the one of a truncation above every finite cell
+        rng = np.random.default_rng(n)
+        for g in range(2, 12):
+            v = Potential(uniform_grid(g), rng.uniform(-1.0, 1.0, g))
+            if g - 1 < n:
+                with pytest.raises(DomainError, match="potential values must be finite"):
+                    c_transform(v, ring_inverse, n)
+                continue
+            got = c_transform(v, ring_inverse, n).values
+            assert np.array_equal(got, c_transform(v, truncate(ring_inverse, 1e6), n).values), g
 
     def test_randomized_covariance_and_monotonicity(self, ring10):
         rng = np.random.default_rng(17)
@@ -375,6 +386,15 @@ class TestCertification:
         # normalization within the gap budget
         pairing = 2 * density_pairing(uniform, cert.potential)
         assert abs(pairing - cert.lp_truncated.value) <= cert.gap_tol
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gap_tol_rejects_lowered_potential(self, cosine, ring_inverse, n):
+        # lowered by 0.5/n the potential stays feasible, but its gap grows by about 0.5,
+        # past the grid budget 10/g
+        cert = certify_potential(cosine, ring_inverse, n, grid_size=48, m=6)
+        assert cert.gap_tol == 10.0 / 48 and cert.passed()
+        lowered = Potential(cert.potential.grid, cert.potential.values - 0.5 / n)
+        assert duality_gap(cosine, lowered, cert.gap_reference, n) > cert.gap_tol
 
     def test_untruncate_rejects_bad_gap(self, uniform, ring_inverse):
         # lowered by 1e-3 the potential stays feasible, and its gap grows by about 2e-3

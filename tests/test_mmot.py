@@ -16,8 +16,8 @@ from ringmot.costs import (
 )
 from ringmot.errors import DomainError, SizeGuardError, StateError
 from ringmot.measure1d import GridDensity
-from ringmot.mmot import DiscreteMarginal, quantize, solve_mmot, staircase, symmetrized_duals
-from ringmot.seidl import plan_cost, seidl_plan
+from ringmot.mmot import DiscreteMarginal, quantize, solve_mmot, symmetrized_duals
+from ringmot.seidl import plan_cost, seidl_plan, staircase
 from ringmot.simplex import solve_equality_lp
 
 from conftest import TWO_PI
@@ -28,7 +28,7 @@ class TestQuantize:
         marg = quantize(uniform, 4)
         expect = np.array([1, 3, 5, 7]) * np.pi / 4
         assert np.allclose(marg.atoms, expect, atol=1e-12)
-        assert np.allclose(marg.weights, 0.25)
+        assert marg.m == 4
 
     def test_single_atom_median(self, uniform):
         marg = quantize(uniform, 1)
@@ -42,21 +42,17 @@ class TestQuantize:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            DiscreteMarginal(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
-
-    def test_non_finite_weights_rejected(self):
-        with pytest.raises(DomainError, match="weights must be finite: index 0 holds nan"):
-            DiscreteMarginal([0.1, 0.2], [np.nan, np.nan])
+            DiscreteMarginal(np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_atoms_rejected(self, bad):
         with pytest.raises(DomainError, match=f"index 1 holds {bad}"):
-            DiscreteMarginal(np.array([1.0, bad, 2.0]), np.full(3, 1.0 / 3.0))
+            DiscreteMarginal(np.array([1.0, bad, 2.0]))
 
 
 class TestSolveByHand:
     def test_two_by_two(self, ring_inverse):
-        marg = DiscreteMarginal(np.array([0.0, np.pi]), np.array([0.5, 0.5]))
+        marg = DiscreteMarginal(np.array([0.0, np.pi]))
         sol = solve_mmot(marg, 2, ring_inverse)
         assert sol.status == "optimal"
         # a staircase cell lies on the infinite diagonal, so phase 1 runs
@@ -72,13 +68,13 @@ class TestSolveByHand:
         pair = ring_inverse.pair_matrix(marg.atoms)
         finite = np.isfinite(pair)
         assert np.all(2.0 * pair[finite] - (v[:, None] + v[None, :])[finite] >= -1e-12)
-        assert 2 * np.dot(marg.weights, v) == pytest.approx(sol.value, abs=1e-12)
+        assert 2 * v.sum() / marg.m == pytest.approx(sol.value, abs=1e-12)
 
     def test_constant_shift_breaks_normalization(self, ring_inverse):
-        marg = DiscreteMarginal(np.array([0.0, np.pi]), np.array([0.5, 0.5]))
+        marg = DiscreteMarginal(np.array([0.0, np.pi]))
         sol = solve_mmot(marg, 2, ring_inverse)
         v = symmetrized_duals(sol) + 1.0
-        assert 2 * np.dot(marg.weights, v) != pytest.approx(sol.value, abs=1e-6)
+        assert 2 * v.sum() / marg.m != pytest.approx(sol.value, abs=1e-6)
 
     def test_antipodal_linear(self, uniform):
         # pointwise c_2 >= 2 (4 - 2) = 4 and the half-turn matching attains it
@@ -127,11 +123,11 @@ class TestCertificates:
 
     def test_weak_duality(self, cosine, ring_inverse):
         sol = solve_mmot(quantize(cosine, 6), 2, ring_inverse)
-        dual_obj = 2 * np.dot(sol.marginal.weights, symmetrized_duals(sol))
+        dual_obj = 2 * symmetrized_duals(sol).sum() / sol.marginal.m
         assert dual_obj <= sol.value + 1e-7
 
     def test_duals_require_optimal(self, ring_inverse):
-        marg = DiscreteMarginal(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+        marg = DiscreteMarginal(np.array([1.0, 2.0]))
         sol = solve_mmot(marg, 3, ring_inverse)  # pigeonhole: all cells infinite
         assert sol.status == "infeasible"
         with pytest.raises(StateError):
@@ -144,7 +140,7 @@ class TestGuardsAndEdgeCases:
             solve_mmot(quantize(uniform, 60), 3, ring_inverse)
 
     def test_infeasible_when_marginal_too_coarse(self, ring_inverse):
-        marg = DiscreteMarginal(np.array([0.5, 4.0]), np.array([0.5, 0.5]))
+        marg = DiscreteMarginal(np.array([0.5, 4.0]))
         assert solve_mmot(marg, 3, ring_inverse).status == "infeasible"
 
 
@@ -168,7 +164,7 @@ class TestSimplexAgainstBruteForce:
             return table[np.clip(i, 0, m - 1), np.clip(j, 0, m - 1)]
 
         w = CostModel(kind="tabular", raw=raw, domain=(0.0, TWO_PI))
-        marg = DiscreteMarginal(atoms, np.full(m, 1.0 / m))
+        marg = DiscreteMarginal(atoms)
         sol = solve_mmot(marg, 2, w)
         brute = min(
             sum(2.0 * table[i, p[i]] for i in range(m)) / m
@@ -366,8 +362,7 @@ class TestStartSoundness:
 
     @pytest.mark.parametrize("n,m", [(2, 8), (2, 7), (3, 9), (3, 7), (4, 8), (4, 10)])
     def test_staircase_is_a_basis(self, n, m):
-        marg = quantize(GridDensity.random_positive(0), m)
-        cells, mass = staircase(marg, n)
+        cells, mass = staircase(m, n)
         assert cells.shape == (m + (n - 1) * (m - 1), n)
         assert np.min(mass) >= 0.0
         assert np.unique(np.ravel_multi_index(cells.T, (m,) * n)).size == cells.shape[0]
@@ -376,27 +371,56 @@ class TestStartSoundness:
         for i in range(n):
             A[i * m + cells[:, i], np.arange(cells.shape[0])] = 1.0
         assert np.linalg.matrix_rank(A) == cells.shape[0]
-        assert np.allclose(A @ mass, np.tile(marg.weights, n), atol=1e-15)
+        assert np.allclose(A @ mass, np.full(n * m, 1.0 / m), atol=1e-15)
+
+    def test_closed_form_is_the_north_west_corner(self):
+        # the north-west-corner rule on equal masses, walked step by step: each cell
+        # takes the smallest residual, then the lowest-index marginal that it
+        # exhausted and that is not at its last atom moves on
+        def north_west_corner(m, n):
+            w = np.full(m, 1.0 / m)
+            shift = np.arange(n) * m // n
+            step = np.zeros(n, dtype=np.intp)
+            residual = w[shift]
+            cells, mass = [], []
+            while True:
+                cells.append((step + shift) % m)
+                mass.append(residual.min())
+                residual = residual - mass[-1]
+                open_ = step < m - 1
+                if not open_.any():
+                    return np.array(cells), np.array(mass)
+                i = int(np.argmin(np.where(open_, residual, np.inf)))
+                step[i] += 1
+                residual[i] = w[(step[i] + shift[i]) % m]
+
+        for n in range(2, 7):
+            for m in range(1, 41):
+                cells, mass = staircase(m, n)
+                ref_cells, ref_mass = north_west_corner(m, n)
+                assert cells.dtype == ref_cells.dtype and np.array_equal(cells, ref_cells), (n, m)
+                assert mass.tobytes() == ref_mass.tobytes(), (n, m)
 
     @pytest.mark.parametrize("n,m", [(2, 8), (3, 12), (4, 8), (4, 12),
                                      (2, 48), (3, 24), (3, 63), (5, 10)])
     def test_seidl_cells_carry_the_mass(self, uniform, cosine, n, m):
-        # the staircase start and seidl_plan are one plan: same cells, each atom bitwise shared
+        # the staircase's mass-1/m cells are the index shift j -> j + k m/n mod m, and
+        # seidl_plan puts each of them bitwise on the LP's atoms
+        cells, mass = staircase(m, n)
+        on = mass > 0
+        assert np.array_equal(cells[on], (np.arange(m)[:, None] + np.arange(n) * (m // n)) % m)
+        assert np.all(mass[on] == 1.0 / m) and np.all(mass[~on] == 0.0)
         for rho in (uniform, cosine, GridDensity.random_positive(7)):
             marg = quantize(rho, m)
-            cells, mass = staircase(marg, n)
-            on = mass > 0
             plan = seidl_plan(rho, n, m)
-            assert np.all(np.isin(plan.atoms, marg.atoms))
-            rows = np.searchsorted(marg.atoms, plan.atoms)
-            assert sorted(map(tuple, cells[on].tolist())) == sorted(map(tuple, rows.tolist()))
-            assert np.all(mass[on] == 1.0 / m) and np.all(plan.weights == 1.0 / m)
+            assert np.array_equal(plan.atoms, marg.atoms[cells[on]])
+            assert np.all(plan.weights == 1.0 / m)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cells_finite_from_m_2n(self, uniform, ring_inverse, n):
         for m in range(2 * n, 2 * n + 6):
             marg = quantize(uniform, m)
-            cells, _ = staircase(marg, n)
+            cells, _ = staircase(m, n)
             pair = ring_inverse.pair_matrix(marg.atoms)
             cost = sum(pair[cells[:, i], cells[:, j]] for i in range(n) for j in range(i + 1, n))
             assert np.all(np.isfinite(cost)), m
