@@ -10,7 +10,6 @@ from typing import NamedTuple
 class Tolerances(NamedTuple):
     # measure1d
     mass_tol: float = 1e-12          # |integral of density - 1|
-    concentration_windows: int = 4096
 
     # costs
     well_order_slack: float = 1e-9

@@ -180,15 +180,27 @@ class GridDensity(NamedTuple("_Density", [
         return float(out) if scalar else out
 
     def concentration(self, r: float) -> float:
-        """Largest mass in any torus ball of radius r (sliding-window maximum)."""
+        """Largest mass in any torus ball of radius r.
+
+        The ball mass M(c) = cdf(c + r) - cdf(c - r) is quadratic in c between
+        the breakpoints c = node -+ r, where c + r or c - r crosses a node. Its
+        maximum is at a breakpoint or at a piece's stationary point, where
+        rho(c + r) = rho(c - r); M is evaluated at all of them.
+        """
         if not 0.0 < r <= np.pi + 1e-15:
             raise DomainError("concentration radius must lie in (0, pi]")
         if 2.0 * r >= TWO_PI:
             return 1.0
-        centers = np.arange(TOL.concentration_windows) * (TWO_PI / TOL.concentration_windows)
-        lo = np.mod(centers - r, TWO_PI)
-        hi = np.mod(centers + r, TWO_PI)
-        return float(np.max(self.mass_between(lo, hi)))
+        lo = np.sort(np.mod(np.concatenate((self.nodes - r, self.nodes + r)), TWO_PI))
+        hi = np.append(lo[1:], lo[0] + TWO_PI)
+        mid = 0.5 * (lo + hi)
+        up, down = np.mod(mid + r, TWO_PI), np.mod(mid - r, TWO_PI)
+        # M'(c) = rho(c + r) - rho(c - r) is linear on each piece, with slope ds
+        ds = self.slope(up) - self.slope(down)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(ds != 0.0, (self.density(up) - self.density(down)) / ds, 0.0)
+        centers = np.concatenate((lo, np.clip(mid - step, lo, hi)))
+        return float(np.max(self.mass_between(np.mod(centers - r, TWO_PI), np.mod(centers + r, TWO_PI))))
 
     def to_spec(self) -> dict:
         return {

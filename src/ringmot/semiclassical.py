@@ -15,10 +15,13 @@ trial-state upper bound for the kinetic-plus-interaction functional.
 All integrals use the composite midpoint rule on uniform torus grids. The
 kernels work on windows of the z-grid: a bump is kept on the 2 reach + 1
 nodes around its point's base node, evaluated once per distinct phase of the
-point against the grid, and B is contracted per z-tile over only the
-coordinates whose windows reach that tile. The interaction prices each
-distinct coordinate pair of an atom on the two coordinates' windows of the
-pair grid (`pairgrid`), where a distance cost is one cost row.
+point against the grid. The pair grid of the interaction (`pairgrid`) is a
+sub-lattice of the z-grid whose nodes all sit at one offset from it, so each
+coordinate's window of B on the pair grid is one correlation of a single bump
+row with the coordinate's z-window (`GammaEta.pair_windows`). The interaction
+prices each distinct coordinate pair of an atom on the two coordinates'
+windows, where a distance cost is one cost row. `GammaEta.b_matrix` evaluates
+B densely at arbitrary points, as the reference for the identity checks.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import TOL, TWO_PI
 from .costs import CostModel, torus_distance
-from .errors import ConstructionError, DomainError, RegimeError, StateError, require_finite
+from .errors import ConstructionError, DomainError, RegimeError, require_finite
 from .measure1d import GridDensity
 from .pairgrid import PAIR_GRID, midpoint_pair_matrix, midpoints as _midpoints, window_forms
 from .seidl import DiscretePlan, plan_cost, seidl_plan
@@ -116,22 +119,6 @@ def support_separation(plan: DiscretePlan) -> float:
 # -- the smeared state -----------------------------------------------------
 
 
-# z-nodes per tile: b_matrix contracts each tile's points on the tile's
-# nodes plus reach nodes either side, not on the whole z-grid
-TILE = 256
-
-
-def _distinct(values) -> np.ndarray:
-    """The distinct entries of a finite array, ascending, from one sort.
-
-    Plain `np.unique` would do, but it imports `numpy.ma` on first use.
-    """
-    ordered = np.sort(values, axis=None)
-    keep = np.ones(ordered.size, dtype=bool)
-    keep[1:] = ordered[1:] != ordered[:-1]
-    return ordered[keep]
-
-
 class GammaEta:
     """Mollified trial state for a separated plan, in the disjoint regime.
 
@@ -141,10 +128,8 @@ class GammaEta:
     within reach = ceil(eta / dz) steps of b, so the bump PB(p - z) is kept on
     its window `offsets` = -reach .. reach only, at the argument
     (phi - o dz) / eta for node b + o: one row per distinct phase, shared by
-    every point with that phase. A point whose base node lies in the
-    TILE-node tile t touches only the z-range of TILE + 2 * reach nodes
-    starting at t * TILE - reach, which must not wrap onto itself around the
-    torus.
+    every point with that phase. As eta < alpha / 4 <= pi / 4, a window of
+    2 reach + 1 nodes never wraps onto itself around the torus.
 
     Each unique plan coordinate c keeps its base node (`coord_base`) and its
     window values PB(c - z) / den(z) (`coord_windows`, coords x offsets).
@@ -177,11 +162,6 @@ class GammaEta:
         self.zgrid = _midpoints(TOL.quad_grid)
         self.dz = TWO_PI / TOL.quad_grid
         self.reach = int(np.ceil(self.eta / self.dz))
-        if TILE + 2 * self.reach + 1 > TOL.quad_grid:
-            raise ConstructionError(
-                f"tile z-range {TILE} + 2 * reach + 1 = {TILE + 2 * self.reach + 1} nodes "
-                f"exceeds quad_grid = {TOL.quad_grid} (eta = {self.eta}, reach = {self.reach})"
-            )
         self.offsets = np.arange(-self.reach, self.reach + 1)
         # periodized squared bump against the density: (rho~ * chi_eta^2)(z)
         kernel = chi.chi_sq(self.offsets * self.dz / self.eta) / self.eta
@@ -193,9 +173,8 @@ class GammaEta:
         self.coords = coords
         self.coord_index = inverse.reshape(plan.atoms.shape)
         # column kernels PB(c - z) / den(z) on each unique coordinate's window
-        self.coord_base, pb, phase = self._windows(coords)
-        self.coord_windows = pb[phase] / self.den[self._window_nodes(self.coord_base)]
-        self.contracted = (0, 0)   # (phases, tile_coords) of the latest b_matrix call
+        self.coord_base, pb = self._windows(coords)
+        self.coord_windows = pb / self.den[self._window_nodes(self.coord_base)]
         self.pair_cells = 0        # cost cells of the latest interaction_energy call
 
     def _window_nodes(self, base):
@@ -204,55 +183,66 @@ class GammaEta:
 
     # PB(x) = chi_eta(x)^2 = chi(x / eta)^2 / eta
     def _windows(self, pts):
-        """Base nodes, the PB window row of each distinct phase, and each point's phase index.
-
-        The bump is evaluated once per distinct phase; point i's window is
-        rows[phase[i]].
-        """
+        """Base nodes and PB window rows of the points, the bump evaluated once per distinct phase."""
         base = np.mod(np.rint(pts / self.dz - 0.5).astype(int), self.zgrid.size)
         phases, phase = np.unique(_wrap(pts - self.zgrid[base]), return_inverse=True)
         rows = self.chi.chi_sq((phases[:, None] - self.offsets * self.dz) / self.eta) / self.eta
-        return base, rows, phase
+        return base, rows[phase]
+
+    def _on_grid(self, base, windows):
+        """Window rows placed on the whole z-grid, zero elsewhere."""
+        out = np.zeros((base.size, self.zgrid.size))
+        out[np.arange(base.size)[:, None], self._window_nodes(base)] = windows
+        return out
 
     def b_matrix(self, xs) -> np.ndarray:
         """B(x, coord) for arbitrary finite positions x, over all unique coordinates.
 
-        B(x, c) = dz * sum over z of PB(x - z) PB(c - z) / den(z). The points
-        are bucketed by the z-tile of their base node. Each bucket's windows
-        are placed in a block on the tile's z-range, which is contracted with
-        the windows of only the coordinates that reach that range: a cyclic
-        band of the sorted coordinates. Every other entry is an exact 0.
-        `contracted` records the distinct phases among xs and the coordinate
-        columns contracted, summed over tiles.
+        B(x, c) = dz * sum over z of PB(x - z) PB(c - z) / den(z): the dense
+        reference, one product of each point's bump window and each
+        coordinate's column window, both placed on the whole z-grid.
         """
         xs = np.asarray(xs, dtype=float)
         require_finite("points", xs, DomainError)
-        gz = self.zgrid.size
-        width = TILE + 2 * self.reach
-        base, rows_pb, phase = self._windows(xs)
-        # the range of tile t starts at node t * TILE - reach, so window entry o
-        # of a point lands on column base % TILE + reach + o: a slice of its
-        # phase row padded by TILE zeros on both sides
-        padded = np.pad(rows_pb * self.dz, ((0, 0), (TILE, TILE)))
-        placed = sliding_window_view(padded, width, axis=1)
-        first = TILE - base % TILE
-        tiles = base // TILE
-        coord_nodes = self._window_nodes(self.coord_base)
-        out = np.zeros((xs.size, self.coords.size))
-        tile_coords = 0
-        for t in _distinct(tiles):
-            rows = np.flatnonzero(tiles == t)
-            start = t * TILE - self.reach
-            # a coordinate's window meets the range iff its base lies within reach of it
-            near = np.flatnonzero(np.mod(self.coord_base - start + self.reach, gz) < width + 2 * self.reach)
-            # window nodes outside the range land in a spare last column
-            cols = np.minimum(np.mod(coord_nodes[near] - start, gz), width)
-            kernels = np.zeros((near.size, width + 1))
-            np.put_along_axis(kernels, cols, self.coord_windows[near], axis=1)
-            out[rows[:, None], near] = placed[phase[rows], first[rows]] @ kernels[:, :width].T
-            tile_coords += near.size
-        self.contracted = (rows_pb.shape[0], tile_coords)
-        return out
+        base, rows = self._windows(xs)
+        return self._on_grid(base, rows * self.dz) @ self._on_grid(self.coord_base, self.coord_windows).T
+
+    def pair_windows(self, k: int):
+        """Each coordinate's window of B on the k-node midpoint grid: (nodes, values), coords x W.
+
+        k must divide quad_grid, so with r = quad_grid / k the node
+        x_i = (r i + r / 2) dz sits (r - 1) / 2 z-steps past z-node r i for
+        every i, and B(x_i, c) = dz * sum over o of h[r i - b_c - o] K_c[o],
+        where b_c is c's base node, K_c its column window (`coord_base`,
+        `coord_windows`) and h[s] = PB((s + (r - 1) / 2) dz) is evaluated once,
+        on the s with |s + (r - 1) / 2| < reach. Window c holds the W nodes,
+        wrapped mod k, on which that correlation can be nonzero: every nonzero
+        of B(., c) on the grid. Its values are one Toeplitz block of h times K_c,
+        shared by the coordinates whose first node has the same residue, so a
+        state takes at most r products.
+        """
+        if TOL.quad_grid % k:
+            raise DomainError(f"the {k}-node pair grid is not a sub-lattice of the "
+                              f"{TOL.quad_grid}-node z-grid: {k} does not divide {TOL.quad_grid}")
+        r = TOL.quad_grid // k
+        reach = self.reach
+        s = np.arange(-reach - r, reach + r)
+        s = s[np.abs(2 * s + r - 1) < 2 * reach]
+        h = self.chi.chi_sq((s + (r - 1) / 2) * self.dz / self.eta) / self.eta
+        width = (s.size + 2 * reach - 1) // r + 1
+        # indexed from 0, node lo + w of window c adds h[shift + r w - p] K_c[p]
+        start = self.coord_base - reach + s[0]
+        lo = -(-start // r)
+        shift = r * lo - start
+        # blocks[shift + r w, p] = h[shift + r w + p - 2 reach], taken against K_c reversed
+        padded = np.concatenate((np.zeros(2 * reach), h, np.zeros(r * width - s.size)))
+        blocks = sliding_window_view(padded, 2 * reach + 1)
+        kernels = self.coord_windows[:, ::-1] * self.dz
+        windows = np.empty((self.coords.size, width))
+        for q in range(r):
+            rows = np.flatnonzero(shift == q)
+            windows[rows] = kernels[rows] @ blocks[q::r].T
+        return (lo[:, None] + np.arange(width)) % k, windows
 
     def density_at(self, tuples) -> np.ndarray:
         """Diagonal n-particle density at the given coordinate tuples."""
@@ -368,14 +358,9 @@ def kinetic_energy(gamma: GammaEta) -> KineticReport:
     )
     # per-coordinate integral of K against its column kernel, over its window
     kq = (gamma.coord_windows * kz[gamma._window_nodes(gamma.coord_base)]).sum(axis=1) * dz
-    quadrature = float(
-        np.dot(gamma.plan.weights, kq[gamma.coord_index].sum(axis=1))
-    )
+    quadrature = float(np.dot(gamma.plan.weights, kq[gamma.coord_index].sum(axis=1)))
     rel = abs(quadrature - exact) / max(abs(exact), 1e-300)
     return KineticReport(float(exact), quadrature, float(rel))
-
-
-PAIR_SLACK = 1e-9  # rounding slack of a pair-grid window's reach, in nodes
 
 
 def interaction_energy(gamma: GammaEta, pair: np.ndarray) -> float:
@@ -385,31 +370,18 @@ def interaction_energy(gamma: GammaEta, pair: np.ndarray) -> float:
     quadrature runs on that grid, so one cost serves every gamma of a curve. The
     permutation sum collapses: every coordinate pair (a, b) of an atom adds
     E[a, b] = d_a . M d_b, with d_c(x) = B(x, c) rho(x) dx, priced once per
-    distinct pair. d_c vanishes beyond 2 eta of c, so each sum runs over c's
-    window: the W nodes from ceil(u_c - 2 eta / dx), u_c being c in node units,
-    wrapped around the seam; StateError names a coordinate whose window misses a
-    nonzero of d_c. `window_forms` contracts the (W x W) blocks of M between the
-    windows. The supports are disjoint, so M's diagonal carries no weight.
+    distinct pair. d_c vanishes off c's window (`GammaEta.pair_windows`), and
+    `window_forms` contracts the (W x W) blocks of M between the windows. The
+    supports are disjoint, so M's diagonal carries no weight.
     `gamma.pair_cells` records the cells contracted.
     """
     k = pair.shape[-1]
-    xs = _midpoints(k)
-    d = gamma.b_matrix(xs) * (gamma.rho.density(xs) * (TWO_PI / k))[:, None]
-    span = 2 * gamma.eta * (k / TWO_PI) + PAIR_SLACK
-    lo = np.ceil(gamma.coords * (k / TWO_PI) - 0.5 - span).astype(int)
-    width = int(2 * span) + 1
-    nodes = (lo[:, None] + np.arange(width)) % k
-    windows = np.take_along_axis(d, nodes.T, 0).T
-    missed = np.count_nonzero(d, 0) - np.count_nonzero(windows, 1)
-    if missed.any():
-        c = np.argmax(missed)
-        needed = np.max(np.abs(_wrap(xs[d[:, c] > 0] - gamma.coords[c]))) * (k / TWO_PI)
-        raise StateError(f"pair-grid window of coordinate {c} (x = {gamma.coords[c]:.6g}) misses B: "
-                         f"its W = {width} nodes reach {span:.6g} either side, B reaches {needed:.6g}")
+    nodes, windows = gamma.pair_windows(k)
+    windows *= (gamma.rho.density(_midpoints(k)) * (TWO_PI / k))[nodes]
     ab = np.sort(gamma.coord_index[:, list(combinations(range(gamma.n), 2))], -1)
     pairs, inverse = np.unique(ab.reshape(-1, 2), axis=0, return_inverse=True)
     e = window_forms(pair, nodes, windows, pairs)
-    gamma.pair_cells = len(pairs) * width**2
+    gamma.pair_cells = len(pairs) * nodes.shape[1] ** 2
     return float(np.dot(gamma.plan.weights, 2.0 * e[inverse].reshape(ab.shape[:2]).sum(1)))
 
 
@@ -420,8 +392,6 @@ class BoundPoint(NamedTuple):
     eps: float
     eta: float
     reach: int            # z-grid steps of the bump's half-width at this eta
-    phases: int           # distinct bump phases of the interaction grid's points
-    tile_coords: int      # coordinate columns contracted on the interaction grid, over tiles
     pair_cells: int       # cost cells contracted by interaction_energy
     kinetic: float
     interaction: float
@@ -444,8 +414,7 @@ class BoundCurve(NamedTuple):
             "alpha": self.alpha,
             "cap": self.cap,
             "rows": [
-                {"eps": p.eps, "eta": p.eta, "reach": p.reach, "phases": p.phases,
-                 "tile_coords": p.tile_coords, "pair_cells": p.pair_cells}
+                {"eps": p.eps, "eta": p.eta, "reach": p.reach, "pair_cells": p.pair_cells}
                 for p in self.points
             ],
             "states": self.states,
@@ -495,12 +464,12 @@ def upper_bound_curve(
     alpha = support_separation(plan)
     cap = alpha / 8.0
     pair = midpoint_pair_matrix(w)
-    priced = {}   # eta -> (interaction, reach, phases, tile_coords, pair_cells)
+    priced = {}   # eta -> (interaction, reach, pair_cells, coords)
 
     def price(eta):
         if eta not in priced:
             gamma = GammaEta(plan, rho, chi, eta)
-            priced[eta] = (interaction_energy(gamma, pair), gamma.reach, *gamma.contracted, gamma.pair_cells)
+            priced[eta] = (interaction_energy(gamma, pair), gamma.reach, gamma.pair_cells, gamma.coords.size)
         return priced[eta]
 
     # probe the smearing error coefficient at the widest admissible width
@@ -511,9 +480,9 @@ def upper_bound_curve(
     points = []
     for eps in eps_arr:
         eta = min(cap, c * eps**0.25)
-        inter, *counts = price(eta)
+        inter, reach, cells, _ = price(eta)
         kin = closed_form_kinetic(n, rho, chi, eta)
-        points.append(BoundPoint(eps, eta, *counts, kin, inter, eps * kin + inter))
+        points.append(BoundPoint(eps, eta, reach, cells, kin, inter, eps * kin + inter))
 
     slope = None
     gaps = np.array([p.bound - reference for p in points])
@@ -522,5 +491,5 @@ def upper_bound_curve(
         slope = float(coeffs[0])
     return BoundCurve(
         tuple(points), float(reference), slope, float(c), float(alpha), float(cap), len(priced),
-        int(_distinct(plan.atoms).size),
+        int(price(cap)[3]),
     )

@@ -261,10 +261,9 @@ class TestArtifacts:
         assert [r["eps"] for r in stage["rows"]] == [0.1, 0.01]
         assert all(r["reach"] == int(np.ceil(r["eta"] * 4096 / (2 * np.pi))) for r in stage["rows"])
         assert (stage["quad_grid"], stage["pair_grid"]) == (4096, 1024)
-        # the 1024 interaction midpoints sit at 5 phases from the z-grid; each of
-        # the 16 z-tiles contracts at most every coordinate
-        assert all(r["phases"] == 5 for r in stage["rows"])
-        assert all(0 < r["tile_coords"] <= 16 * stage["coords"] for r in stage["rows"])
+        assert all(set(r) == {"eps", "eta", "reach", "pair_cells"} for r in stage["rows"])
+        # a coordinate's window on the pair grid holds reach nodes at the defaults
+        assert all(r["pair_cells"] % r["reach"] ** 2 == 0 for r in stage["rows"])
         assert stage["states"] == len({r["eta"] for r in stage["rows"]} | {stage["cap"]})
 
     @pytest.mark.parametrize(

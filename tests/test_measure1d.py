@@ -117,6 +117,23 @@ class TestConcentration:
         closed_form = (np.pi / 2 + 2 * np.sin(np.pi / 4)) / TWO_PI
         assert got == pytest.approx(closed_form, abs=1e-4)
 
+    def test_narrow_tent_peak(self):
+        # a tent of half-width 2 r centred between two of 4096 evenly spaced
+        # centres, which a scan over those centres misses by about a fifth
+        x0, w, r = 1000.5 * TWO_PI / 4096, 0.002, 0.001
+        rho = GridDensity.from_values([0.0, x0 - w, x0, x0 + w, TWO_PI], [1.0, 1.0, 1e3, 1.0, 1.0],
+                                      normalize=True)
+        peak = (2 * r + (1e3 - 1.0) * (2 * r - r * r / w)) / (TWO_PI + (1e3 - 1.0) * w)
+        assert rho.concentration(r) == pytest.approx(peak, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("r", [0.001, 0.3, 3.0])
+    def test_bounds_a_fine_scan(self, seed, r):
+        rho = GridDensity.random_positive(seed)
+        centers = np.arange(100_000) * (TWO_PI / 100_000)
+        scan = np.max(rho.mass_between(np.mod(centers - r, TWO_PI), np.mod(centers + r, TWO_PI)))
+        assert 0.0 <= rho.concentration(r) - scan <= 1e-9
+
     def test_domain_error(self, uniform):
         with pytest.raises(DomainError):
             uniform.concentration(0.0)

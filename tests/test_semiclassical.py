@@ -6,12 +6,11 @@ import pytest
 from ringmot import semiclassical
 from ringmot.config import TOL
 from ringmot.costs import CostModel, ExpProfile, make_graph_cost, support_thresholds, truncate
-from ringmot.errors import ConstructionError, DomainError, RegimeError, StateError
+from ringmot.errors import DomainError, RegimeError
 from ringmot.measure1d import GridDensity
 from ringmot.seidl import DiscretePlan, plan_cost, seidl_plan
 from ringmot.semiclassical import (
     PAIR_GRID,
-    TILE,
     GammaEta,
     Mollifier,
     _wrap,
@@ -135,8 +134,7 @@ class TestBumpWindow:
         nodes = z[[0, 1, 1000, 2047, z.size - 1]]
         half = np.concatenate([nodes + g.dz / 2, nodes - g.dz / 2])
         p = np.concatenate([[0.0, TWO_PI, -0.3, TWO_PI + 0.3], nodes, half])
-        base, rows, phase = g._windows(p)
-        return np.array_equal(scattered(g, base, rows[phase]), dense_pb(g, p))
+        return np.array_equal(scattered(g, *g._windows(p)), dense_pb(g, p))
 
     @pytest.mark.parametrize("share", [1 / 8, 0.249])
     def test_matches_dense(self, uniform, cosine08, chi, share):
@@ -151,7 +149,8 @@ class TestBumpWindow:
         assert not self.compare(g)
 
     def test_one_bump_row_per_phase(self, monkeypatch, cosine08, chi):
-        # the 1024 midpoints sit at 5 distinct phases from the z-grid
+        # the 1024 midpoints sit at 5 distinct phases from the z-grid, and
+        # the pair-grid windows evaluate the bump at its one offset
         plan = seidl_plan(cosine08, 2, 64)
         g = GammaEta(plan, cosine08, chi, support_separation(plan) / 8)
         sizes = []
@@ -164,11 +163,13 @@ class TestBumpWindow:
         monkeypatch.setattr(Mollifier, "chi_sq", counting)
         g.b_matrix(semiclassical._midpoints(1024))
         assert 0 < sum(sizes) <= 5 * g.offsets.size
-        assert g.contracted[0] <= 5
+        sizes.clear()
+        g.pair_windows(1024)
+        assert sizes == [2 * g.reach]
 
 
 class TestTiledBMatrix:
-    """b_matrix contracted per z-tile equals the dense PB matrix times the dense columns."""
+    """b_matrix equals the dense PB matrix, evaluated at each node's offset, times the dense columns."""
 
     @staticmethod
     def dense_reference(g, xs):
@@ -178,9 +179,8 @@ class TestTiledBMatrix:
     @staticmethod
     def point_sets(g):
         rng = np.random.default_rng(5)
-        # points whose nearest node is a tile's first or last node: their
-        # windows reach the ends of the tile's z-range
-        edges = g.zgrid[[0, TILE - 1, TILE, 7 * TILE - 1, 7 * TILE, g.zgrid.size - 1]]
+        # points at the phase extremes of nodes by the seam and inside
+        edges = g.zgrid[[0, 1, 255, 256, 1791, g.zgrid.size - 1]]
         shifted = np.concatenate([edges + 0.49 * g.dz, edges - 0.49 * g.dz])
         return {
             "midpoints": semiclassical._midpoints(1024),
@@ -204,23 +204,6 @@ class TestTiledBMatrix:
             assert np.array_equal(got == 0.0, ref == 0.0), name
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), name
 
-    def test_band_edge_coordinates(self, uniform, chi):
-        # tile 1 spans nodes TILE - reach .. 2 TILE - 1 + reach; coordinates based
-        # reach nodes outside either end still meet it through one window node
-        dz = TWO_PI / TOL.quad_grid
-        reach = 3
-        z = semiclassical._midpoints(TOL.quad_grid)
-        lo, hi = z[TILE - 2 * reach] + 0.4 * dz, z[2 * TILE - 1 + 2 * reach] - 0.4 * dz
-        plan = DiscretePlan(np.array([[lo, lo + np.pi], [hi, hi + np.pi]]), np.array([0.5, 0.5]))
-        g = GammaEta(plan, uniform, chi, (reach - 0.25) * dz)
-        assert g.reach == reach
-        xs = np.array([z[TILE] - 0.4 * dz, z[2 * TILE - 1] + 0.4 * dz])
-        got, ref = g.b_matrix(xs), self.dense_reference(g, xs)
-        assert np.array_equal(got == 0.0, ref == 0.0)
-        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
-        assert got[0, np.searchsorted(g.coords, lo)] > 0.0
-        assert got[1, np.searchsorted(g.coords, hi)] > 0.0
-
     def test_phase_argument_bound(self, cosine08, chi):
         # (phi - o dz) / eta against wrap(x - z_{b+o}) / eta: equal up to rounding,
         # with the same window zeros
@@ -243,13 +226,6 @@ class TestTiledBMatrix:
             g.b_matrix(np.array([bad, 1.0]))
         with pytest.raises(DomainError, match=rf"points must be finite: index \(1, 0\) holds {bad}"):
             g.density_at(np.array([[1.0, 4.0], [bad, 2.0]]))
-
-    def test_wrapping_tile_range_rejected(self, monkeypatch, uniform, chi):
-        plan = seidl_plan(uniform, 2, 64)
-        monkeypatch.setattr(semiclassical, "TOL", TOL._replace(quad_grid=256))
-        reach = int(np.ceil(0.3 / (TWO_PI / 256)))
-        with pytest.raises(ConstructionError, match=f"{TILE + 2 * reach + 1}.*256"):
-            GammaEta(plan, uniform, chi, 0.3)
 
 
 def roll_correlate(samples, offsets, kernel, dz):
@@ -277,19 +253,6 @@ class TestCorrelate:
     def test_reach_beyond_samples_rejected(self):
         with pytest.raises(DomainError, match="reach 9 exceeds the 8 samples"):
             semiclassical._correlate(np.ones(8), np.arange(-9, 10), np.ones(19), 1.0)
-
-
-class TestDistinct:
-    @pytest.mark.parametrize("shape", [(0,), (1,), (40,), (13, 3)])
-    def test_matches_unique(self, shape):
-        rng = np.random.default_rng(len(shape))
-        values = rng.integers(0, 6, shape).astype(float) * 0.25
-        values.flat[:1] = -0.0   # equal to 0.0, as np.unique treats it
-        got = semiclassical._distinct(values)
-        assert got.dtype == values.dtype
-        assert np.array_equal(got, np.unique(values))
-        tiles = rng.integers(0, 16, shape)
-        assert np.array_equal(semiclassical._distinct(tiles), np.unique(tiles))
 
 
 class TestMarginalIdentity:
@@ -563,18 +526,6 @@ class TestBandedInteraction:
         assert interaction_energy(g, midpoint_pair_matrix(costs[name])) == pytest.approx(
             dense, rel=self.RTOL, abs=0.0)
 
-    def test_short_window_trips_guard(self, monkeypatch, cosine08, chi, ring_inverse):
-        plan = seidl_plan(cosine08, 2, 24)
-        g = GammaEta(plan, cosine08, chi, 0.05)
-        pair = midpoint_pair_matrix(ring_inverse)
-        interaction_energy(g, pair)
-        # one node short on each side: 2 eta = 16.3 nodes, the window reaches 15.3
-        monkeypatch.setattr(semiclassical, "PAIR_SLACK", -1.0)
-        with pytest.raises(StateError, match=r"coordinate 1 \(x = 0.218942\) misses B: "
-                                              r"its W = 31 nodes reach 15.2975 either side, "
-                                              r"B reaches 16.1821"):
-            interaction_energy(g, pair)
-
     def test_pair_cells(self, cosine08, chi, ring_inverse):
         # each distinct coordinate pair of an atom is priced once, on a W x W block
         plan = seidl_plan(cosine08, 3, 24)
@@ -582,8 +533,10 @@ class TestBandedInteraction:
         g = GammaEta(plan, cosine08, chi, eta)
         interaction_energy(g, midpoint_pair_matrix(ring_inverse))
         pairs = {tuple(sorted(row[[i, j]])) for row in g.coord_index for i, j in ((0, 1), (0, 2), (1, 2))}
-        width = int(4 * eta / (TWO_PI / PAIR_GRID)) + 1
-        assert g.pair_cells == len(pairs) * width**2
+        # the 4 reach z-steps of a correlation's support span reach pair-grid steps,
+        # no more than the floor(4 eta / dx) + 1 nodes within 2 eta of a coordinate
+        assert g.pair_windows(PAIR_GRID)[0].shape[1] == g.reach <= int(4 * eta / (TWO_PI / PAIR_GRID)) + 1
+        assert g.pair_cells == len(pairs) * g.reach**2
         curve = upper_bound_curve(cosine08, ring_inverse, 3, self.EPS, m=24)
         assert curve.points[0].eta == eta and curve.points[0].pair_cells == g.pair_cells
         assert all(p.pair_cells < PAIR_GRID**2 for p in curve.points)
@@ -598,3 +551,61 @@ class TestBandedInteraction:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+def window_misses(g, nodes, windows, k=PAIR_GRID):
+    """Largest gap between the windows and b_matrix's columns on the k-node grid, relative
+    to each column's peak; inf where the zeros differ or b_matrix is nonzero off a window."""
+    b = g.b_matrix(semiclassical._midpoints(k))
+    cols = np.arange(g.coords.size)[:, None]
+    inside = b[nodes, cols]
+    b[nodes, cols] = 0.0
+    if np.any(b != 0.0) or not np.array_equal(windows == 0.0, inside == 0.0):
+        return np.inf
+    return float(np.max(np.abs(windows - inside) / np.max(np.abs(inside), axis=1, keepdims=True)))
+
+
+class TestPairWindows:
+    """pair_windows, the correlation of one bump row with each coordinate's z-window,
+    holds every nonzero of the dense b_matrix on the pair grid."""
+
+    SEAM = DiscretePlan(np.array([[TWO_PI - 0.05, np.pi - 0.05], [0.03, np.pi + 0.03]]), np.array([0.5, 0.5]))
+
+    @staticmethod
+    def states(rho, chi, seam=True):
+        for n, m in ((2, 64), (3, 63)):
+            plan = seidl_plan(rho, n, m)
+            for share in (1 / 8, 0.249):
+                yield f"n={n} eta={share}", GammaEta(plan, rho, chi, share * support_separation(plan))
+        for eta in (0.05, 0.2) if seam else ():   # a coordinate of each atom wraps around the seam
+            yield f"seam eta={eta}", GammaEta(TestPairWindows.SEAM, rho, chi, eta)
+
+    def test_matches_b_matrix(self, cosine08, chi):
+        for name, g in self.states(cosine08, chi):
+            nodes, windows = g.pair_windows(PAIR_GRID)
+            assert nodes.shape == windows.shape == (g.coords.size, g.reach), name
+            assert window_misses(g, nodes, windows) <= 1e-13, name
+
+    @pytest.mark.parametrize("side", [0, -1], ids=["first", "last"])
+    def test_window_one_node_short_fails(self, cosine08, chi, side):
+        # the seam plan's four coordinates all leave their windows' first node 0
+        for name, g in self.states(cosine08, chi, seam=False):
+            nodes, windows = g.pair_windows(PAIR_GRID)
+            keep = np.delete(np.arange(nodes.shape[1]), side)
+            assert window_misses(g, nodes[:, keep], windows[:, keep]) == np.inf, name
+
+    @pytest.mark.parametrize("quad_grid, k", [(4096, 256), (3072, 1024), (1024, 1024)],
+                             ids=["r=16", "r=3", "r=1"])
+    def test_other_sub_lattices(self, monkeypatch, uniform, chi, quad_grid, k):
+        # the pair-grid nodes sit (r - 1) / 2 z-steps past the z-grid: between two
+        # z-nodes for even r, on one for odd r
+        monkeypatch.setattr(semiclassical, "TOL", TOL._replace(quad_grid=quad_grid))
+        plan = seidl_plan(uniform, 3, 24)
+        for share in (1 / 8, 0.249):
+            g = GammaEta(plan, uniform, chi, share * support_separation(plan))
+            assert window_misses(g, *g.pair_windows(k), k) <= 1e-13
+
+    def test_pair_grid_must_divide_quad_grid(self, uniform, chi):
+        g = GammaEta(seidl_plan(uniform, 2, 16), uniform, chi, 0.1)
+        with pytest.raises(DomainError, match="1000-node pair grid .* 4096-node z-grid"):
+            interaction_energy(g, np.zeros(1000))
