@@ -8,12 +8,12 @@ matrix off one cost row. Other costs give a raw evaluator whose exact
 symmetry is checked once at construction.
 
 The four-point exchange inequality is certified on pair matrices: the G x G
-matrix of a uniform grid plus the 4 x 4 matrices of random 4-point sets. One
-exact O(G^3) scan per matrix gives the minimum margin over all sorted index
-quadruples (the inequality's Monge structure), so the grid evidence needs no
-quadruple enumeration. The inequality quantifies over a continuum, so grid
-certification with a small slack is the testable surrogate. Reports carry
-the grid resolution so failures are reproducible.
+matrix of a uniform grid, from `grid_matrix`, plus the 4 x 4 matrices of
+random 4-point sets. One exact O(G^3) scan per matrix gives the minimum margin
+over all sorted index quadruples (the inequality's Monge structure), so the
+grid evidence needs no quadruple enumeration. The inequality quantifies over a
+continuum, so grid certification with a small slack is the testable surrogate.
+Reports carry the grid resolution so failures are reproducible.
 """
 
 from __future__ import annotations
@@ -451,8 +451,9 @@ def check_well_ordering(
 
     For x1 <= x2 <= x3 <= x4 the nested sum w(x1,x3) + w(x2,x4) must not exceed
     either other pairing sum; a +inf nested sum is accepted. The grid's pair matrix
-    and those of n_random sorted uniform 4-point sets are checked exactly on all
-    sorted index quadruples. Strict mode excuses equality only for coinciding pairs.
+    (`grid_matrix`) and those of n_random sorted uniform 4-point sets are checked
+    exactly on all sorted index quadruples. Strict mode excuses equality only for
+    coinciding pairs.
     A grid_size above WELL_ORDER_GRID_GUARD raises SizeGuardError before any allocation.
     """
     if grid_size < 4:
@@ -461,13 +462,14 @@ def check_well_ordering(
         raise SizeGuardError(f"grid_size = {grid_size} exceeds the {WELL_ORDER_GRID_GUARD} guard")
     n_random = 10 * grid_size if n_random is None else n_random
     lo, hi = model.domain
-    batches = [np.linspace(lo, hi, grid_size)[None, :]]
+    grid = np.linspace(lo, hi, grid_size)
+    batches = [(grid[None, :], model.grid_matrix(grid)[None])]
     if n_random > 0:
         rng = np.random.default_rng(seed)
-        batches.append(np.sort(rng.uniform(lo, hi, size=(n_random, 4)), axis=1))
+        points = np.sort(rng.uniform(lo, hi, size=(n_random, 4)), axis=1)
+        batches.append((points, model(points[:, :, None], points[:, None, :])))
     margin, strict_margin, worst = np.inf, np.inf, None
-    for points in batches:
-        C = model(points[:, :, None], points[:, None, :])
+    for points, C in batches:
         gaps = _exchange_gaps(C)
         low = gaps[:, :, :2].min(axis=2)
         b, j = np.unravel_index(np.argmin(low), low.shape)

@@ -20,8 +20,9 @@ sub-lattice of the z-grid whose nodes all sit at one offset from it, so each
 coordinate's window of B on the pair grid is one correlation of a single bump
 row with the coordinate's z-window (`GammaEta.pair_windows`). The interaction
 prices each distinct coordinate pair of an atom on the two coordinates'
-windows, where a distance cost is one cost row. `GammaEta.b_matrix` evaluates
-B densely at arbitrary points, as the reference for the identity checks.
+windows, where a distance cost is one cost row, and the identity checks read B
+on the same windows of their grids. `GammaEta.b_matrix` evaluates B densely at
+arbitrary points: the reference for the windows, and `density_at`'s evaluator.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from .errors import ConstructionError, DomainError, RegimeError, require_finite
 from .measure1d import GridDensity
 from .pairgrid import PAIR_GRID, midpoint_pair_matrix, midpoints as _midpoints, window_forms
 from .seidl import DiscretePlan, plan_cost, seidl_plan
+
+# points b_matrix places on the z-grid per product: 512 rows of 4096 nodes are 16.8 MB
+B_ROWS = 512
 
 
 # -- mollifier ------------------------------------------------------------
@@ -200,12 +204,17 @@ class GammaEta:
 
         B(x, c) = dz * sum over z of PB(x - z) PB(c - z) / den(z): the dense
         reference, one product of each point's bump window and each
-        coordinate's column window, both placed on the whole z-grid.
+        coordinate's column window, both placed on the whole z-grid, taken
+        B_ROWS points at a time.
         """
         xs = np.asarray(xs, dtype=float)
         require_finite("points", xs, DomainError)
         base, rows = self._windows(xs)
-        return self._on_grid(base, rows * self.dz) @ self._on_grid(self.coord_base, self.coord_windows).T
+        cols = self._on_grid(self.coord_base, self.coord_windows).T
+        out = np.empty((xs.size, self.coords.size))
+        for at in range(0, xs.size, B_ROWS):
+            out[at:at + B_ROWS] = self._on_grid(base[at:at + B_ROWS], rows[at:at + B_ROWS] * self.dz) @ cols
+        return out
 
     def pair_windows(self, k: int):
         """Each coordinate's window of B on the k-node midpoint grid: (nodes, values), coords x W.
@@ -263,10 +272,9 @@ class GammaEta:
         return out / factorial(self.n)
 
     def coordinate_masses(self, grid: int) -> np.ndarray:
-        """q(coord) = integral of rho(x) B(x, coord) dx at the given resolution."""
-        xs = _midpoints(grid)
-        b = self.b_matrix(xs)
-        return (self.rho.density(xs) * (TWO_PI / grid)) @ b
+        """q(coord) = integral of rho(x) B(x, coord) dx on coord's window of the grid (`pair_windows`)."""
+        nodes, windows = self.pair_windows(grid)
+        return (windows * (self.rho.density(_midpoints(grid)) * (TWO_PI / grid))[nodes]).sum(axis=1)
 
     def total_mass(self, grid: int = 256) -> float:
         """Quadrature of the diagonal density over the n-torus."""
@@ -278,22 +286,18 @@ def marginal_identity_check(gamma: GammaEta, grid: int = 256) -> float:
     """sup_x | n * integral of Gamma(x, rest) d rest  -  n * rho(x) |.
 
     The inner integrals are evaluated with the same per-axis midpoint rule
-    as the outer grid, matching the stated quadrature budget.
+    as the outer grid, matching the stated quadrature budget: the density is
+    rho(x) sum_c a(c) B(x, c), scattered from each coordinate's window, where
+    slot s of an atom adds its weight times the other slots' masses to a.
     """
-    n = gamma.n
-    xs = _midpoints(grid)
-    r = gamma.rho.density(xs)
-    b = gamma.b_matrix(xs)                    # (grid, coords)
-    q = (r * (TWO_PI / grid)) @ b             # coordinate_masses(grid)
-    acc = np.zeros(grid)
-    for sigma in permutations(range(n)):
-        first = gamma.coord_index[:, sigma[0]]
-        rest = np.ones(gamma.plan.atoms.shape[0])
-        for i in range(1, n):
-            rest *= q[gamma.coord_index[:, sigma[i]]]
-        acc += b[:, first] @ (gamma.plan.weights * rest)
-    density = n * r * acc / factorial(n)
-    return float(np.max(np.abs(density - n * r)))
+    ci, w = gamma.coord_index, gamma.plan.weights
+    q = gamma.coordinate_masses(grid)
+    a = sum(np.bincount(ci[:, s], w * np.prod(q[np.delete(ci, s, axis=1)], axis=1), gamma.coords.size)
+            for s in range(gamma.n))
+    nodes, windows = gamma.pair_windows(grid)
+    r = gamma.rho.density(_midpoints(grid))
+    density = r * np.bincount(nodes.ravel(), (windows * a[:, None]).ravel(), grid)
+    return float(np.max(np.abs(density - gamma.n * r)))
 
 
 def sqrt_density_dirichlet(rho: GridDensity) -> float:
