@@ -273,13 +273,17 @@ class GammaEta:
 
     def coordinate_masses(self, grid: int) -> np.ndarray:
         """q(coord) = integral of rho(x) B(x, coord) dx on coord's window of the grid (`pair_windows`)."""
-        nodes, windows = self.pair_windows(grid)
-        return (windows * (self.rho.density(_midpoints(grid)) * (TWO_PI / grid))[nodes]).sum(axis=1)
+        return _masses(*self.pair_windows(grid), self.rho.density(_midpoints(grid)))
 
     def total_mass(self, grid: int = 256) -> float:
         """Quadrature of the diagonal density over the n-torus."""
         q = self.coordinate_masses(grid)
         return float(np.dot(self.plan.weights, np.prod(q[self.coord_index], axis=1)))
+
+
+def _masses(nodes: np.ndarray, windows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Each `pair_windows` window summed against r = rho on its midpoint grid times dx."""
+    return (windows * (r * (TWO_PI / r.size))[nodes]).sum(axis=1)
 
 
 def marginal_identity_check(gamma: GammaEta, grid: int = 256) -> float:
@@ -291,11 +295,11 @@ def marginal_identity_check(gamma: GammaEta, grid: int = 256) -> float:
     slot s of an atom adds its weight times the other slots' masses to a.
     """
     ci, w = gamma.coord_index, gamma.plan.weights
-    q = gamma.coordinate_masses(grid)
-    a = sum(np.bincount(ci[:, s], w * np.prod(q[np.delete(ci, s, axis=1)], axis=1), gamma.coords.size)
-            for s in range(gamma.n))
     nodes, windows = gamma.pair_windows(grid)
     r = gamma.rho.density(_midpoints(grid))
+    q = _masses(nodes, windows, r)
+    a = sum(np.bincount(ci[:, s], w * np.prod(q[np.delete(ci, s, axis=1)], axis=1), gamma.coords.size)
+            for s in range(gamma.n))
     density = r * np.bincount(nodes.ravel(), (windows * a[:, None]).ravel(), grid)
     return float(np.max(np.abs(density - gamma.n * r)))
 

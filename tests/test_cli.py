@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -313,31 +314,31 @@ class TestArtifacts:
         assert "unrecognized arguments: --radius" in capsys.readouterr().err
 
 
+# one or two argument lists per subcommand, "{cost}" and "{density}" filled from specs
+DETERMINISM_COMMANDS = [
+    ["check-wellordering", "--cost", "{cost}", "--grid", "16", "--seed", "7"],
+    ["seidl-plan", "--density", "{density}", "--n", "2", "--m", "4"],
+    ["swap-demo", "--members", "1,3,4,8,9,11,12"],
+    ["mmot-solve", "--density", "{density}", "--cost", "{cost}", "--n", "2", "--m", "4"],
+    ["kantorovich", "--density", "{density}", "--cost", "{cost}",
+     "--n", "2", "--grid", "32", "--m", "4"],
+    pytest.param(
+        ["kantorovich", "--density", "{density}", "--cost", "{cost}",
+         "--n", "3", "--grid", "24", "--m", "6"],
+        id="kantorovich-n3",
+    ),
+    ["semiclassical", "--density", "{density}", "--cost", "{cost}",
+     "--n", "2", "--eps", "1e-1,1e-2", "--m", "8"],
+    pytest.param(
+        ["semiclassical", "--density", "{density}", "--cost", "{cost}",
+         "--n", "3", "--eps", "1e-1,1e-2", "--m", "9"],
+        id="semiclassical-n3",
+    ),
+]
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "cmd",
-        [
-            ["check-wellordering", "--cost", "{cost}", "--grid", "16", "--seed", "7"],
-            ["seidl-plan", "--density", "{density}", "--n", "2", "--m", "4"],
-            ["swap-demo", "--members", "1,3,4,8,9,11,12"],
-            ["mmot-solve", "--density", "{density}", "--cost", "{cost}", "--n", "2", "--m", "4"],
-            ["kantorovich", "--density", "{density}", "--cost", "{cost}",
-             "--n", "2", "--grid", "32", "--m", "4"],
-            pytest.param(
-                ["kantorovich", "--density", "{density}", "--cost", "{cost}",
-                 "--n", "3", "--grid", "24", "--m", "6"],
-                id="kantorovich-n3",
-            ),
-            ["semiclassical", "--density", "{density}", "--cost", "{cost}",
-             "--n", "2", "--eps", "1e-1,1e-2", "--m", "8"],
-            pytest.param(
-                ["semiclassical", "--density", "{density}", "--cost", "{cost}",
-                 "--n", "3", "--eps", "1e-1,1e-2", "--m", "9"],
-                id="semiclassical-n3",
-            ),
-        ],
-        ids=lambda c: c[0],
-    )
+    @pytest.mark.parametrize("cmd", DETERMINISM_COMMANDS, ids=lambda c: c[0])
     def test_byte_identical_reruns(self, specs, tmp_path, cmd):
         args = [a.format(**specs) for a in cmd]
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -358,6 +359,18 @@ class TestDeterminism:
             m.pop("wall_time_s")
             m["parameters"].pop("out")
         assert m1 == m2
+
+    @pytest.mark.parametrize("cmd", DETERMINISM_COMMANDS, ids=lambda c: c[0])
+    def test_module_run_matches_in_process(self, specs, tmp_path, cmd):
+        # python -m runs entry(), which freezes the heap; main() in process leaves the collector alone
+        args = [a.format(**specs) for a in cmd]
+        main_out, module_out = tmp_path / "main", tmp_path / "module"
+        assert run(args + ["--out", str(main_out)]) == 0
+        fresh_python(["-m", "ringmot.cli", *args, "--out", str(module_out)], fresh_env())
+        files = data_files(main_out)
+        assert [p.name for p in files] == [p.name for p in data_files(module_out)]
+        for path in files:
+            assert path.read_bytes() == (module_out / path.name).read_bytes(), path.name
 
 
 # Run in a fresh interpreter: import the package, then ringmot.cli, then every
@@ -500,10 +513,46 @@ print(json.dumps(report))
     )
     def test_manifest_lists_executed_modules(self, specs, tmp_path, cmd, executed):
         args = [a.format(**specs) for a in cmd]
-        # python -m, and the console script's own call: import ringmot.cli, then main()
+        # python -m, and the console script's own call: import ringmot.cli, then entry()
         entries = {"module": ["-m", "ringmot.cli"],
-                   "script": ["-c", "import sys, ringmot.cli; sys.exit(ringmot.cli.main())"]}
+                   "script": ["-c", "import sys, ringmot.cli; sys.exit(ringmot.cli.entry())"]}
         for label, entry in entries.items():
             fresh_python([*entry, *args, "--out", str(tmp_path / label)], fresh_env())
             manifest = json.loads((tmp_path / label / "manifest.json").read_text())
             assert manifest["modules"] == ["ringmot." + m for m in executed], label
+
+
+# Run in a fresh interpreter after the entry given as argv[1]: at exit, report
+# whether the collector is on, the permanent generation's size and how many
+# objects the shutdown collections would still walk.
+ENTRY_PROBE = """
+import atexit, gc, json, runpy, sys
+atexit.register(lambda: print(json.dumps(
+    {"enabled": gc.isenabled(), "frozen": gc.get_freeze_count(), "walked": len(gc.get_objects())})))
+how, sys.argv = sys.argv[1], ["ringmot", *sys.argv[2:]]
+if how == "module":
+    runpy.run_module("ringmot.cli", run_name="__main__")
+else:
+    from ringmot.cli import entry
+    sys.exit(entry())
+"""
+
+
+class TestProcessEntry:
+    def test_main_leaves_collector_alone(self, specs, tmp_path):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert run(["check-wellordering", "--cost", specs["cost"], "--grid", "16",
+                    "--out", str(tmp_path / "out")]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("how", ["module", "entry"])
+    def test_exit_heap_frozen_collector_on(self, specs, tmp_path, how):
+        # python -m disables the collector for its imports; entry() turns it back
+        # on and freezes the heap before main() and again after it
+        stdout = fresh_python(["-c", ENTRY_PROBE, how, "check-wellordering", "--cost", specs["cost"],
+                               "--grid", "16", "--out", str(tmp_path / "out")], fresh_env())
+        report = json.loads(stdout.splitlines()[-1])
+        assert report["enabled"] is True
+        assert report["frozen"] > 10_000
+        assert report["walked"] < 100, report
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["verdict"] == "well_ordering"
