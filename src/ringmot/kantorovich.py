@@ -1,9 +1,9 @@
 """Grid potentials for the transport dual: c-transforms and certificates.
 
-All potential work happens on truncated (bounded) costs and lifts to the
-unbounded problem afterwards: the full cost dominates the truncated one
-pointwise, so feasibility margins only improve, and the two problems share
-optimal values once the truncation level clears the support threshold.
+Potentials are computed and certified on the cost as given: +inf cells of a
+singular cost never attain a min-plus minimum. The truncation of the support
+lemma enters only `untruncate_certificate`, which checks on the quantized
+marginal that the truncated and the full LP share their optimal value.
 
 The averaged fixed point pins the additive constant: its step ignores a
 constant added to the seed, and its fixed point has margin 0. n <rho, v> then
@@ -364,51 +364,24 @@ def oscillation_bound_check(
 
 class UntruncateReport(NamedTuple):
     passed: bool
-    margin_truncated: float
-    margin_full: float
-    value_difference: float
-    gap_full: float
+    value_difference: float  # |value_full - value_truncated|
 
 
-def untruncate_certificate(
-    v: Potential,
-    w_full: CostModel,
-    margin_trunc: float,
-    rho: GridDensity,
-    n: int,
-    value_truncated: float,
-    value_full: float,
-    gap_tol: float,
-    tol: float = 1e-6,
-) -> UntruncateReport:
-    """Lift a certificate for the truncated problem to the full one.
+def untruncate_certificate(value_truncated: float, value_full: float) -> UntruncateReport:
+    """The truncation lemma on the quantized marginal: the LP values agree to 1e-7.
 
-    `margin_trunc` is v's feasibility margin for the truncated cost, as
-    `averaged_iteration` reports it. The full cost dominates the truncated
-    cost, so the feasibility margin can only improve; the optimal values
-    (the LP values on the quantized marginal) agree once the truncation
-    level clears the support threshold, so the same duality gap, priced
-    against the full cost's grid staircase (`staircase_value`), certifies v
-    for the untruncated problem.
+    Truncated at a level that clears the support threshold, the cost keeps
+    the optimal value of the transport problem, so the LPs on the truncated
+    and on the full cost reach the same value.
     """
-    if margin_trunc < -tol:
-        raise DomainError("potential is not certified for the truncated cost")
-    margin_full = feasibility_margin(v, w_full, n)
     value_diff = abs(value_full - value_truncated)
-    gap_full = duality_gap(rho, v, staircase_value(rho, v.grid, w_full, n), n)
-    passed = (
-        margin_full >= margin_trunc - 1e-12
-        and margin_full >= -tol
-        and value_diff <= 1e-7
-        and gap_full <= gap_tol
-    )
-    return UntruncateReport(bool(passed), margin_trunc, margin_full, value_diff, gap_full)
+    return UntruncateReport(bool(value_diff <= 1e-7), value_diff)
 
 
 class PotentialCertificate(NamedTuple):
     potential: Potential
     gap: float  # gap_reference - n <rho, v>
-    gap_reference: float  # `staircase_value` of the truncated cost
+    gap_reference: float  # `staircase_value` of the cost as given
     gap_tol: float
     truncation_level: float
     fixed_point: ConvergenceReport
@@ -424,7 +397,7 @@ class PotentialCertificate(NamedTuple):
             fp.converged
             and fp.margin >= -1e-6
             and -1e-6 <= self.gap <= self.gap_tol
-            and self.oscillation_report.passed
+            and self.oscillation_report.box_passed
             and self.untruncate.passed
         )
 
@@ -456,8 +429,6 @@ class PotentialCertificate(NamedTuple):
             "seed_period_defect": self.seed_period_defect,
             "iterations": fp.iterations,
             "residual_history": list(fp.history),
-            "margin_truncated": self.untruncate.margin_truncated,
-            "margin_full": self.untruncate.margin_full,
             "lp_truncated": self.lp_truncated.simplex,
             "lp_full": self.lp_full.simplex,
             "tile": TILE,
@@ -473,15 +444,15 @@ def certify_potential(
     grid_size: int = 128,
     m: int = 8,
 ) -> PotentialCertificate:
-    """Full pipeline: thresholds, truncation, LPs, seeded fixed point, lift.
+    """Full pipeline: thresholds, LPs, seeded fixed point, gap, all on w as given.
 
-    The truncation level is `support_thresholds`' h at `_auto_radius`.
     `comotion_potential` seeds the averaged iteration on the grid (at most
-    2000 steps, to sup|v - v_c| <= 1e-6). The gap is priced against the grid
-    measure's staircase (`staircase_value`); the fixed point is certified for
-    the truncated cost and the certificate is lifted to the full cost. The
-    LPs on the m-point quantization give `lp_value_*` and the
-    truncation-equivalence check.
+    2000 steps, to sup|v - v_c| <= 1e-6), whose report carries the exact
+    margin. The gap is priced against the grid measure's staircase
+    (`staircase_value`). The truncation level is `support_thresholds`' h at
+    `_auto_radius`; it sets the oscillation box, and the cost truncated at h
+    prices one of the two LPs on the m-point quantization, whose values
+    give `lp_value_*` and the truncation lemma's check.
     """
     from .costs import support_thresholds, truncate
     from .mmot import quantize, solve_mmot
@@ -489,22 +460,21 @@ def certify_potential(
     if grid_size < 3:  # the inclusive grid holds 0 and 2*pi: one ring point at size 2
         raise DomainError(f"grid_size = {grid_size} is below 3; the grid needs two ring points")
     thresholds = support_thresholds(rho, w, _auto_radius(rho, n), n)
-    w_h = truncate(w, thresholds.h)
     marginal = quantize(rho, m)
-    sol_h = solve_mmot(marginal, n, w_h)
+    sol_h = solve_mmot(marginal, n, truncate(w, thresholds.h))
     sol_full = solve_mmot(marginal, n, w)
     if sol_h.status != "optimal" or sol_full.status != "optimal":
         raise StateError("LP oracle failed on the quantized marginal")
 
     grid = uniform_grid(grid_size)
-    v0, defect = comotion_potential(rho, w_h, n, grid)
-    v, report = averaged_iteration(v0, w_h, n, max_iters=2000)
+    v0, defect = comotion_potential(rho, w, n, grid)
+    v, report = averaged_iteration(v0, w, n, max_iters=2000)
 
     gap_tol = gap_tolerance(grid_size)
-    reference = staircase_value(rho, grid, w_h, n)
+    reference = staircase_value(rho, grid, w, n)
     gap = duality_gap(rho, v, reference, n)
     osc_report = oscillation_bound_check(v, n * (n - 1) * thresholds.h, n, rho, reference)
-    unt = untruncate_certificate(v, w, report.margin, rho, n, sol_h.value, sol_full.value, gap_tol)
+    unt = untruncate_certificate(sol_h.value, sol_full.value)
     return PotentialCertificate(
         v, gap, reference, gap_tol, thresholds.h, report, osc_report, unt, sol_h, sol_full, defect
     )

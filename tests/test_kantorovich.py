@@ -324,17 +324,23 @@ class TestComotionSeed:
 
 # the `potential` benchmark cases on ring inverse: n, grid, and the density, cosine 0.8 or
 # the workload's seeded density k at a seed, GridDensity.random_positive([seed, k])
-POTENTIAL_CASES = [pytest.param(2, 1024, None, id="n2-g1024-cosine")] + [
-    pytest.param(n, g, [seed, k], id=f"n{n}-g{g}-seed{seed}")
+POTENTIAL_CASES = [pytest.param((2, 1024, None), id="n2-g1024-cosine")] + [
+    pytest.param((n, g, [seed, k]), id=f"n{n}-g{g}-seed{seed}")
     for seed in (1, 2, 3) for n, g, k in ((2, 512, 0), (3, 128, 1), (3, 256, 2))
 ]
 
 
+@pytest.fixture(scope="module", params=POTENTIAL_CASES)
+def potential_case(request, ring_inverse):
+    """n, the density and the certificate of a `POTENTIAL_CASES` case, certified once."""
+    n, g, seed = request.param
+    rho = GridDensity.cosine(amplitude=0.8) if seed is None else GridDensity.random_positive(seed)
+    return n, rho, certify_potential(rho, ring_inverse, n, grid_size=g)
+
+
 class TestStaircaseReference:
-    @pytest.mark.parametrize("n,g,seed", POTENTIAL_CASES)
-    def test_potential_cases(self, ring_inverse, n, g, seed):
-        rho = GridDensity.cosine(amplitude=0.8) if seed is None else GridDensity.random_positive(seed)
-        cert = certify_potential(rho, ring_inverse, n, grid_size=g)
+    def test_potential_cases(self, potential_case):
+        n, _, cert = potential_case
         fp = cert.fixed_point
         assert cert.passed() and fp.converged
         assert fp.iterations <= (6 if n == 2 else 18)
@@ -352,8 +358,48 @@ class TestStaircaseReference:
         pairing = 2 * density_pairing(rho, cert.potential)
         assert cert.lp_truncated.value < pairing - 3e-4
         assert 0.0 <= cert.gap <= 1e-5 and cert.passed()
+        # priced on the cost as given; the staircase's cells stay below the truncation level
+        assert cert.gap_reference == staircase_value(rho, cert.potential.grid, ring_inverse, 2)
         assert cert.gap_reference == staircase_value(
             rho, cert.potential.grid, truncate(ring_inverse, cert.truncation_level), 2)
+
+
+class TestOneCost:
+    """The certificate is computed on the cost as given; truncation enters only the LP lemma."""
+
+    def test_margin_is_the_full_costs(self, ring_inverse, potential_case):
+        n, _, cert = potential_case
+        assert cert.fixed_point.margin == feasibility_margin(cert.potential, ring_inverse, n)
+
+    def test_truncated_fixed_point_same_bits(self, ring_inverse, potential_case):
+        # the truncated cost differs only in cells no min-plus minimum reaches, so a fixed
+        # point run on it and lifted to the full cost would certify nothing new
+        n, rho, cert = potential_case
+        v0, _ = comotion_potential(rho, ring_inverse, n, cert.potential.grid)
+        w_h = truncate(ring_inverse, cert.truncation_level)
+        v, report = averaged_iteration(v0, w_h, n, max_iters=2000)
+        assert np.array_equal(v.values, cert.potential.values)
+        assert (report.margin, report.iterations) == (cert.fixed_point.margin, cert.fixed_point.iterations)
+
+    def test_untruncate_is_the_lp_lemma(self):
+        assert untruncate_certificate(1.25, 1.25) == (True, 0.0)
+        rep = untruncate_certificate(1.25, 1.25 + 2e-7)
+        assert not rep.passed and rep.value_difference == pytest.approx(2e-7)
+
+    def test_level_below_the_plan_fails(self, monkeypatch, cosine, ring_inverse):
+        # truncated below the Seidl plan's largest pair cost, the truncated LP undercuts the full one
+        import ringmot.costs
+
+        n, m = 2, 8
+        plan = seidl_plan(cosine, n, m)
+        largest = float(np.max(ring_inverse(plan.atoms[:, 0], plan.atoms[:, 1])))
+        thresholds = ringmot.costs.support_thresholds(cosine, ring_inverse, np.pi / 4, n)
+        assert thresholds.h > largest
+        monkeypatch.setattr(
+            ringmot.costs, "support_thresholds", lambda *args: thresholds._replace(h=largest / 2))
+        cert = certify_potential(cosine, ring_inverse, n, grid_size=64, m=m)
+        assert cert.truncation_level == largest / 2
+        assert not cert.untruncate.passed and not cert.passed()
 
 
 class TestOscillation:
@@ -397,15 +443,28 @@ class TestCertification:
         assert duality_gap(cosine, lowered, cert.gap_reference, n) > cert.gap_tol
 
     def test_untruncate_rejects_bad_gap(self, uniform, ring_inverse):
-        # lowered by 1e-3 the potential stays feasible, and its gap grows by about 2e-3
-        cert = certify_potential(uniform, ring_inverse, 2, 64, 8)
+        # lowered by 1e-3 the potential stays feasible, and its gap grows by about 2e-3,
+        # past a gap_tol of 1e-3, which the certified potential meets
+        cert = certify_potential(uniform, ring_inverse, 2, 64, 8)._replace(gap_tol=1e-3)
         lowered = Potential(cert.potential.grid, cert.potential.values - 1e-3)
-        for v, passed in ((cert.potential, True), (lowered, False)):
-            rep = untruncate_certificate(
-                v, ring_inverse, cert.fixed_point.margin, uniform, 2,
-                cert.lp_truncated.value, cert.lp_full.value, gap_tol=1e-3,
-            )
-            assert rep.passed == passed
+        gap = duality_gap(uniform, lowered, cert.gap_reference, 2)
+        assert cert.passed()
+        assert not cert._replace(potential=lowered, gap=gap).passed()
+
+    @pytest.mark.parametrize("gate", ["lp_lemma", "box", "gap", "margin", "converged"])
+    def test_every_gate_can_fail(self, uniform, ring_inverse, gate):
+        cert = certify_potential(uniform, ring_inverse, 2, 64, 8)
+        fp, osc = cert.fixed_point, cert.oscillation_report
+        broken = {
+            "lp_lemma": {"untruncate": untruncate_certificate(0.0, 2e-7)},
+            # the oscillation bound still holds; only the sharper box is gated
+            "box": {"oscillation_report": osc._replace(box_passed=False)},
+            "gap": {"gap": 2 * cert.gap_tol},
+            "margin": {"fixed_point": fp._replace(margin=-2e-6)},
+            "converged": {"fixed_point": fp._replace(converged=False)},
+        }[gate]
+        assert cert.passed() and osc.passed
+        assert not cert._replace(**broken).passed()
 
     def test_dual_refinement_converges(self, uniform, ring_inverse):
         # LP duals at finer quantizations approach the fixed point
