@@ -16,8 +16,8 @@ in ``sys.modules`` and on the package right after ``import ringmot.cli``, and
 its code runs on first attribute access (``importlib.util.LazyLoader``). A
 command thus compiles and runs only the modules it uses (``check-wellordering``
 runs ``costs`` alone), and the manifest lists them as ``modules``. Without a
-bytecode cache, compiling all eight cost every command about 40 ms whichever
-it ran: on 2 vCPUs (Python 3.11) ``import ringmot.cli`` went from 0.240 to
+bytecode cache, compiling every solver module cost every command about 40 ms
+whichever it ran: on 2 vCPUs (Python 3.11) ``import ringmot.cli`` went from 0.240 to
 0.197 s median (lower in 36 of 40 alternating pairs) and ``check-wellordering
 --grid 64`` from 0.324 to 0.280 s (29 of 30); with a warm ``__pycache__`` only
 the execution is saved (0.229 to 0.223 s, 26 of 40). Registration rather than
@@ -74,7 +74,7 @@ from .config import TWO_PI
 from .errors import DomainError, RingmotError
 
 SOLVER_MODULES = (
-    "measure1d", "costs", "seidl", "simplex", "mmot", "kantorovich", "pairgrid", "semiclassical")
+    "measure1d", "costs", "seidl", "simplex", "mmot", "kantorovich", "semiclassical")
 
 
 def _register(name: str) -> types.ModuleType:
@@ -91,7 +91,7 @@ def _register(name: str) -> types.ModuleType:
     return module
 
 
-measure1d, costs, seidl, simplex, mmot, kantorovich, pairgrid, semiclassical = SOLVERS = tuple(
+measure1d, costs, seidl, simplex, mmot, kantorovich, semiclassical = SOLVERS = tuple(
     map(_register, SOLVER_MODULES))
 
 

@@ -22,7 +22,7 @@ class Tolerances(NamedTuple):
     lp_cell_guard: int = 200_000
 
     # kantorovich
-    ctransform_guard: int = 1_000_000   # grid**(n-1) cap for one transform
+    ctransform_guard: int = 1 << 20     # grid**max(2, n-1) cap for one transform
 
     # semiclassical
     mollifier_table: int = 2048

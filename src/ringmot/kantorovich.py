@@ -87,20 +87,30 @@ class _PairMatrix(NamedTuple):
     minima: np.ndarray | None = None
 
 
+def _check_transform_size(g: int, n: int) -> None:
+    """The c-transform guard: g^max(2, n-1) <= TOL.ctransform_guard.
+
+    A transform on g grid nodes holds the g x g pair matrix and, for n >= 3,
+    minimizes over g^(n-1) tuples, so both sizes are bounded.
+    """
+    if n < 2:
+        raise DomainError("need n >= 2 marginals")
+    power = max(2, n - 1)
+    if g ** power > TOL.ctransform_guard:
+        raise SizeGuardError(
+            f"grid^{power} = {g}^{power} = {g ** power} exceeds the "
+            f"c-transform guard {TOL.ctransform_guard}"
+        )
+
+
 def _doubled_pair_matrix(grid: np.ndarray, w: CostModel, n: int) -> _PairMatrix:
-    """2 w on the grid, after the grid^(n-1) guard (checked before any work).
+    """2 w on the grid, after the c-transform guard (checked before any work).
 
     The grid must be uniform: a translation-invariant cost is read off one
     cost row (`CostModel.grid_matrix`), other costs are evaluated on every pair.
     """
-    if n < 2:
-        raise DomainError("need n >= 2 marginals")
     g = grid.size
-    if g ** (n - 1) > TOL.ctransform_guard:
-        raise SizeGuardError(
-            f"grid^(n-1) = {g}^{n - 1} = {g ** (n - 1)} exceeds the "
-            f"c-transform guard {TOL.ctransform_guard}"
-        )
+    _check_transform_size(g, n)
     pair2 = 2.0 * w.grid_matrix(grid)
     if n == 2:
         return _PairMatrix(pair2)
@@ -347,13 +357,14 @@ def oscillation_bound_check(
     n: int,
     rho: GridDensity,
     transport_value: float,
-    tol: float = 1e-9,
 ) -> OscillationReport:
     """Check max v - min v <= h for a potential of a cost bounded by h.
 
     Also checks the sharper normalized box -h (n-1)/n <= v - ref <= h/n,
     where ref recenters v to the normalization n <rho, v> = transport value.
+    Both bounds are read with a slack of 1e-9.
     """
+    tol = 1e-9
     osc = v.oscillation()
     shifted = v.values - (density_pairing(rho, v) - transport_value / n)
     box_low = float(shifted.min())
@@ -452,13 +463,15 @@ def certify_potential(
     (`staircase_value`). The truncation level is `support_thresholds`' h at
     `_auto_radius`; it sets the oscillation box, and the cost truncated at h
     prices one of the two LPs on the m-point quantization, whose values
-    give `lp_value_*` and the truncation lemma's check.
+    give `lp_value_*` and the truncation lemma's check. The c-transform guard
+    on grid_size is checked before any of it.
     """
     from .costs import support_thresholds, truncate
     from .mmot import quantize, solve_mmot
 
     if grid_size < 3:  # the inclusive grid holds 0 and 2*pi: one ring point at size 2
         raise DomainError(f"grid_size = {grid_size} is below 3; the grid needs two ring points")
+    _check_transform_size(grid_size, n)
     thresholds = support_thresholds(rho, w, _auto_radius(rho, n), n)
     marginal = quantize(rho, m)
     sol_h = solve_mmot(marginal, n, truncate(w, thresholds.h))

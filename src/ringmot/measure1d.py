@@ -71,16 +71,14 @@ class GridDensity(NamedTuple("_Density", [
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_values(cls, nodes, values, normalize=False):
+    def from_values(cls, nodes, values):
+        """The density of the given values, rescaled to unit trapezoid mass."""
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
-        if normalize:
-            h = np.diff(nodes)
-            total = float(np.sum(0.5 * (values[:-1] + values[1:]) * h))
-            if total <= 0:
-                raise ConstructionError("cannot normalize a zero-mass density")
-            values = values / total
-        return cls(nodes, values)
+        total = float(np.sum(0.5 * (values[:-1] + values[1:]) * np.diff(nodes)))
+        if total <= 0:
+            raise ConstructionError("cannot normalize a zero-mass density")
+        return cls(nodes, values / total)
 
     @classmethod
     def uniform(cls):
@@ -94,7 +92,7 @@ class GridDensity(NamedTuple("_Density", [
         positivity is required (e.g. mollified trial states).
         """
         nodes = np.linspace(0.0, TWO_PI, num_nodes)
-        return cls.from_values(nodes, 1.0 + amplitude * np.cos(nodes), normalize=True)
+        return cls.from_values(nodes, 1.0 + amplitude * np.cos(nodes))
 
     @classmethod
     def random_positive(cls, seed: int, num_nodes: int = 65, lo: float = 0.25, hi: float = 1.75):
@@ -103,7 +101,7 @@ class GridDensity(NamedTuple("_Density", [
         values = rng.uniform(lo, hi, num_nodes)
         values[-1] = values[0]
         nodes = np.linspace(0.0, TWO_PI, num_nodes)
-        return cls.from_values(nodes, values, normalize=True)
+        return cls.from_values(nodes, values)
 
     # -- queries --------------------------------------------------------
 

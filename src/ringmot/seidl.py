@@ -19,8 +19,11 @@ import numpy as np
 
 from .config import TOL
 from .costs import CostModel
-from .errors import Checked, ConstructionError, DomainError, require_finite
+from .errors import Checked, ConstructionError, DomainError, SizeGuardError, require_finite
 from .measure1d import GridDensity
+
+# atoms of a symmetrized plan: 200,000 atoms of n = 7 coordinates are 11 MB
+SYMMETRIZED_ATOM_GUARD = 200_000
 
 
 class SeidlMap(Checked, NamedTuple("_SeidlMap", [("rho", GridDensity), ("n", int)])):
@@ -119,8 +122,16 @@ class DiscretePlan(Checked, NamedTuple("_Plan", [("atoms", np.ndarray), ("weight
         return self.atoms.shape[1]
 
     def symmetrized(self) -> "DiscretePlan":
-        """Replace each atom by its n! coordinate permutations at weight / n!."""
-        n = self.n
+        """Replace each atom by its n! coordinate permutations at weight / n!.
+
+        More than SYMMETRIZED_ATOM_GUARD atoms out raises SizeGuardError before
+        any permutation is listed.
+        """
+        n, m = self.n, self.atoms.shape[0]
+        size = factorial(n) * m
+        if size > SYMMETRIZED_ATOM_GUARD:
+            raise SizeGuardError(f"symmetrizing m = {m} atoms of n = {n} coordinates makes "
+                                 f"n! * m = {size} atoms, above the {SYMMETRIZED_ATOM_GUARD} atom guard")
         perms = list(permutations(range(n)))
         atoms = np.concatenate([self.atoms[:, p] for p in perms], axis=0)
         weights = np.tile(self.weights / factorial(n), len(perms))

@@ -1,4 +1,4 @@
-"""Mollified fermionic trial states built from a transport plan.
+"""Mollified fermionic trial states built from a transport plan, and the grids that price them.
 
 A plan whose atoms keep all coordinates at torus distance >= alpha is
 smeared with bumps of width eta < alpha / 4. In that regime the bump
@@ -12,17 +12,19 @@ density n * rho exactly (up to plan quantization) and kinetic energy
 n * (dirichlet(sqrt rho) + dirichlet(chi) / eta^2), which prices the
 trial-state upper bound for the kinetic-plus-interaction functional.
 
-All integrals use the composite midpoint rule on uniform torus grids. The
-kernels work on windows of the z-grid: a bump is kept on the 2 reach + 1
-nodes around its point's base node, evaluated once per distinct phase of the
-point against the grid. The pair grid of the interaction (`pairgrid`) is a
-sub-lattice of the z-grid whose nodes all sit at one offset from it, so each
-coordinate's window of B on the pair grid is one correlation of a single bump
-row with the coordinate's z-window (`GammaEta.pair_windows`). The interaction
-prices each distinct coordinate pair of an atom on the two coordinates'
-windows, where a distance cost is one cost row, and the identity checks read B
-on the same windows of their grids. `GammaEta.b_matrix` evaluates B densely at
-arbitrary points: the reference for the windows, and `density_at`'s evaluator.
+All integrals use the composite midpoint rule on uniform torus grids
+(`midpoints`), every one of them a sub-lattice of the TOL.quad_grid-node
+z-grid. The kernels work on windows of the z-grid: a bump is kept on the
+2 reach + 1 nodes around its point's base node, evaluated per point at the
+point's phase against the grid. The interaction is a quadratic form of the
+pair cost on the PAIR_GRID-node midpoint grid (`midpoint_pair_matrix`), whose
+nodes all sit at one offset from the z-grid, so each coordinate's window of B
+on it is one correlation of a single bump row with the coordinate's z-window
+(`GammaEta.pair_windows`). The interaction prices each distinct coordinate
+pair of an atom on the two coordinates' windows (`window_forms`), where a
+distance cost is one cost row, and the identity checks read B on the same
+windows of their grids. `GammaEta.b_matrix` evaluates B densely at arbitrary
+points: the reference for the windows, and `density_at`'s evaluator.
 """
 
 from __future__ import annotations
@@ -38,11 +40,16 @@ from .config import TOL, TWO_PI
 from .costs import CostModel, torus_distance
 from .errors import ConstructionError, DomainError, RegimeError, require_finite
 from .measure1d import GridDensity
-from .pairgrid import PAIR_GRID, midpoint_pair_matrix, midpoints as _midpoints, window_forms
 from .seidl import DiscretePlan, plan_cost, seidl_plan
 
 # points b_matrix places on the z-grid per product: 512 rows of 4096 nodes are 16.8 MB
 B_ROWS = 512
+PAIR_GRID = 1024   # nodes of the interaction quadrature's midpoint grid
+
+
+def midpoints(k: int) -> np.ndarray:
+    """Nodes of the k-point composite midpoint rule on the torus."""
+    return (np.arange(k) + 0.5) * (TWO_PI / k)
 
 
 # -- mollifier ------------------------------------------------------------
@@ -131,9 +138,9 @@ class GammaEta:
     phi = wrap(p - z_b) in [-dz / 2, dz / 2]. Every z with |p - z| < eta lies
     within reach = ceil(eta / dz) steps of b, so the bump PB(p - z) is kept on
     its window `offsets` = -reach .. reach only, at the argument
-    (phi - o dz) / eta for node b + o: one row per distinct phase, shared by
-    every point with that phase. As eta < alpha / 4 <= pi / 4, a window of
-    2 reach + 1 nodes never wraps onto itself around the torus.
+    (phi - o dz) / eta for node b + o, one row per point. As
+    eta < alpha / 4 <= pi / 4, a window of 2 reach + 1 nodes never wraps onto
+    itself around the torus.
 
     Each unique plan coordinate c keeps its base node (`coord_base`) and its
     window values PB(c - z) / den(z) (`coord_windows`, coords x offsets).
@@ -163,7 +170,7 @@ class GammaEta:
         self.alpha = float(alpha)
         self.n = plan.n
 
-        self.zgrid = _midpoints(TOL.quad_grid)
+        self.zgrid = midpoints(TOL.quad_grid)
         self.dz = TWO_PI / TOL.quad_grid
         self.reach = int(np.ceil(self.eta / self.dz))
         self.offsets = np.arange(-self.reach, self.reach + 1)
@@ -187,11 +194,10 @@ class GammaEta:
 
     # PB(x) = chi_eta(x)^2 = chi(x / eta)^2 / eta
     def _windows(self, pts):
-        """Base nodes and PB window rows of the points, the bump evaluated once per distinct phase."""
+        """Base nodes and PB window rows of the points, the bump evaluated once per point."""
         base = np.mod(np.rint(pts / self.dz - 0.5).astype(int), self.zgrid.size)
-        phases, phase = np.unique(_wrap(pts - self.zgrid[base]), return_inverse=True)
-        rows = self.chi.chi_sq((phases[:, None] - self.offsets * self.dz) / self.eta) / self.eta
-        return base, rows[phase]
+        phase = _wrap(pts - self.zgrid[base])
+        return base, self.chi.chi_sq((phase[:, None] - self.offsets * self.dz) / self.eta) / self.eta
 
     def _on_grid(self, base, windows):
         """Window rows placed on the whole z-grid, zero elsewhere."""
@@ -205,15 +211,15 @@ class GammaEta:
         B(x, c) = dz * sum over z of PB(x - z) PB(c - z) / den(z): the dense
         reference, one product of each point's bump window and each
         coordinate's column window, both placed on the whole z-grid, taken
-        B_ROWS points at a time.
+        B_ROWS points at a time: each block's bump windows are evaluated in it.
         """
         xs = np.asarray(xs, dtype=float)
         require_finite("points", xs, DomainError)
-        base, rows = self._windows(xs)
         cols = self._on_grid(self.coord_base, self.coord_windows).T
         out = np.empty((xs.size, self.coords.size))
         for at in range(0, xs.size, B_ROWS):
-            out[at:at + B_ROWS] = self._on_grid(base[at:at + B_ROWS], rows[at:at + B_ROWS] * self.dz) @ cols
+            base, rows = self._windows(xs[at:at + B_ROWS])
+            out[at:at + B_ROWS] = self._on_grid(base, rows * self.dz) @ cols
         return out
 
     def pair_windows(self, k: int):
@@ -273,7 +279,7 @@ class GammaEta:
 
     def coordinate_masses(self, grid: int) -> np.ndarray:
         """q(coord) = integral of rho(x) B(x, coord) dx on coord's window of the grid (`pair_windows`)."""
-        return _masses(*self.pair_windows(grid), self.rho.density(_midpoints(grid)))
+        return _masses(*self.pair_windows(grid), self.rho.density(midpoints(grid)))
 
     def total_mass(self, grid: int = 256) -> float:
         """Quadrature of the diagonal density over the n-torus."""
@@ -296,7 +302,7 @@ def marginal_identity_check(gamma: GammaEta, grid: int = 256) -> float:
     """
     ci, w = gamma.coord_index, gamma.plan.weights
     nodes, windows = gamma.pair_windows(grid)
-    r = gamma.rho.density(_midpoints(grid))
+    r = gamma.rho.density(midpoints(grid))
     q = _masses(nodes, windows, r)
     a = sum(np.bincount(ci[:, s], w * np.prod(q[np.delete(ci, s, axis=1)], axis=1), gamma.coords.size)
             for s in range(gamma.n))
@@ -371,6 +377,52 @@ def kinetic_energy(gamma: GammaEta) -> KineticReport:
     return KineticReport(float(exact), quadrature, float(rel))
 
 
+# -- the interaction quadrature ----------------------------------------------
+
+
+def midpoint_pair_matrix(w: CostModel) -> np.ndarray:
+    """The pair cost on the PAIR_GRID-node midpoint grid of the interaction quadrature.
+
+    A distance cost comes back as one cost row, row[j] = w(x_0, x_j): the
+    matrix cell (i, j) is row[(j - i) mod PAIR_GRID], and the PAIR_GRID^2
+    matrix is never built. Any other cost comes back as the dense matrix
+    (`CostModel.grid_matrix`). The cost is taken as given, untruncated. Its +inf
+    cells where two midpoints coincide (the diagonal, row[0]) are set to 0, as
+    trial states put no pair mass there; any other non-finite cell raises
+    DomainError naming it. Every cell of a distance cost's matrix is a row
+    entry, so checking the row checks them all.
+    """
+    xs = midpoints(PAIR_GRID)
+    pair = w(xs[0], xs) if w.translation_invariant else w.grid_matrix(xs)
+    cells = np.atleast_2d(pair)   # the row is the matrix's first row
+    coincident = np.flatnonzero(np.isposinf(np.diagonal(cells)))
+    cells[coincident, coincident] = 0.0
+    bad = np.argwhere(~np.isfinite(cells))
+    if bad.size:
+        i, j = bad[0]
+        raise DomainError(f"interaction quadrature needs a finite cost off the diagonal: "
+                          f"w({xs[i]:.6g}, {xs[j]:.6g}) = {cells[i, j]} at cell ({i}, {j})")
+    return pair
+
+
+def window_forms(pair: np.ndarray, nodes: np.ndarray, windows: np.ndarray, pairs) -> np.ndarray:
+    """windows[a] . M[nodes[a]][:, nodes[b]] windows[b] for each (a, b) in pairs.
+
+    M is the pair cost `pair` on its k-node grid (`midpoint_pair_matrix`).
+    Row c of `nodes` holds the W grid nodes of window c, consecutive mod k. The
+    (W x W) block between two windows is a Toeplitz view of a distance cost's
+    row, or is gathered from a dense matrix; both are contracted alike.
+    """
+    k = pair.shape[-1]
+    width = nodes.shape[1]
+    if pair.ndim == 1:   # band[s][t] = row[(s + t + 1 - W) mod k]
+        band = sliding_window_view(pair[np.arange(1 - width, k + width - 1) % k], width)
+        blocks = (band[(nodes[b, 0] - nodes[a, 0]) % k:][:width][::-1] for a, b in pairs)
+    else:
+        blocks = (pair[nodes[a][:, None], nodes[b]] for a, b in pairs)
+    return np.array([windows[a].dot(m).dot(windows[b]) for (a, b), m in zip(pairs, blocks)])
+
+
 def interaction_energy(gamma: GammaEta, pair: np.ndarray) -> float:
     """integral of c_n against the diagonal density, via pair-marginal sums.
 
@@ -385,7 +437,7 @@ def interaction_energy(gamma: GammaEta, pair: np.ndarray) -> float:
     """
     k = pair.shape[-1]
     nodes, windows = gamma.pair_windows(k)
-    windows *= (gamma.rho.density(_midpoints(k)) * (TWO_PI / k))[nodes]
+    windows *= (gamma.rho.density(midpoints(k)) * (TWO_PI / k))[nodes]
     ab = np.sort(gamma.coord_index[:, list(combinations(range(gamma.n), 2))], -1)
     pairs, inverse = np.unique(ab.reshape(-1, 2), axis=0, return_inverse=True)
     e = window_forms(pair, nodes, windows, pairs)

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import TOL
 from .costs import CostModel
 from .errors import Checked, ConstructionError, DomainError, require_finite
 
@@ -241,11 +242,12 @@ class BipartitionRanking(NamedTuple):
     violator: tuple | None  # members of a strictly cheaper bipartition, if any
 
 
-def bipartition_min_check(x, w: CostModel, slack: float = 1e-9) -> BipartitionRanking:
+def bipartition_min_check(x, w: CostModel) -> BipartitionRanking:
     """Exhaustively rank all balanced bipartitions of the sorted points.
 
-    For well-ordering costs the odd/even split must come out minimal; for
-    other costs the violating split is reported. Guarded at 2n <= 12.
+    For well-ordering costs the odd/even split must come out minimal, within
+    TOL.well_order_slack; for other costs the violating split is reported.
+    Guarded at 2n <= 12.
     """
     x = _sorted_positions(x)
     if x.size % 2 != 0:
@@ -261,7 +263,7 @@ def bipartition_min_check(x, w: CostModel, slack: float = 1e-9) -> BipartitionRa
     entries.sort(key=lambda e: (e[0], e[1]))
     oe_cost = paired_cost(x, odd_bipartition(n), w)
     best_cost, best_members = entries[0]
-    minimal = best_cost >= oe_cost - slack
+    minimal = best_cost >= oe_cost - TOL.well_order_slack
     return BipartitionRanking(
         odd_even_minimal=minimal,
         odd_even_cost=oe_cost,

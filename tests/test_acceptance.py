@@ -6,6 +6,7 @@ lines; every tolerance is pinned here, not configured elsewhere.
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -213,13 +214,21 @@ def test_criterion_7_gamma_eta_identities(uniform, cosine08):
     lim = gamma.alpha - 4 * gamma.eta
     x1 = rng.uniform(0.0, TWO_PI, 10_000)
     x2 = np.mod(x1 + rng.uniform(-lim, lim, 10_000), TWO_PI)
-    vals = gamma.density_at(np.stack([x1, x2], axis=1))
+    tracemalloc.start()
+    try:
+        vals = gamma.density_at(np.stack([x1, x2], axis=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert np.max(np.abs(vals)) == 0.0
+    # one B_ROWS block of bump windows on the z-grid (16.8 MB) plus B of the
+    # 2 * 10^4 points: 28.3 MB measured
+    assert peak <= 35e6
     report(
         7,
         "gamma-eta-identities",
         f"marginal {worst_marginal:.1e}, kinetic {worst_kinetic:.1e}, "
-        "10^4 forbidden tuples at zero",
+        f"10^4 forbidden tuples at zero, peak {peak / 1e6:.1f} MB",
     )
 
 

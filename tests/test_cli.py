@@ -157,6 +157,17 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert written(out) == []
 
+    @pytest.mark.parametrize("cmd, named", [
+        (["kantorovich", "--n", "2", "--grid", "2048"], "grid^2 = 2048^2 = 4194304 exceeds"),
+        (["seidl-plan", "--n", "10", "--m", "10", "--symmetrize"], "n! * m = 36288000 atoms"),
+    ], ids=["kantorovich", "seidl-plan-symmetrize"])
+    def test_size_guard_writes_nothing(self, specs, tmp_path, capsys, cmd, named):
+        out = tmp_path / "guarded"
+        code = run([*cmd, "--density", specs["density"], "--cost", specs["cost"], "--out", str(out)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert written(out) == []
+
     def test_wellordering_grid_guard(self, specs, tmp_path, capsys):
         size = WELL_ORDER_GRID_GUARD + 1
         code = run(["check-wellordering", "--cost", specs["cost"], "--grid", str(size),
@@ -504,7 +515,7 @@ print(json.dumps(report))
              ["costs", "kantorovich", "measure1d", "mmot", "seidl", "simplex"]),
             (["semiclassical", "--density", "{density}", "--cost", "{cost}",
               "--n", "2", "--eps", "1e-1,1e-2", "--m", "8"],
-             ["costs", "measure1d", "pairgrid", "seidl", "semiclassical"]),
+             ["costs", "measure1d", "seidl", "semiclassical"]),
         ],
         ids=["check-wellordering", "seidl-plan", "mmot-solve", "kantorovich", "semiclassical"],
     )

@@ -1,10 +1,13 @@
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ringmot import costs
+from ringmot.config import TOL
 from ringmot.costs import (
     CostModel,
     ExpProfile,
@@ -108,8 +111,31 @@ class TestCTransform:
         )
 
     def test_guard_names_size(self, ring10):
-        with pytest.raises(SizeGuardError, match=r"1001\^2 = 1002001 exceeds .* 1000000"):
-            c_transform(zero_potential(1001), ring10, 3)
+        with pytest.raises(SizeGuardError, match=r"1025\^2 = 1050625 exceeds .* 1048576"):
+            c_transform(zero_potential(1025), ring10, 3)
+
+    @pytest.mark.parametrize("n, g", [(2, 1025), (3, 1025), (4, 102)])
+    def test_guard_trips_first_size_past_budget(self, monkeypatch, uniform, ring10, n, g):
+        # the guard bounds the g x g pair matrix as well as the g^(n-1) tuples; one
+        # node fewer is inside it, and certify_potential checks it before any work
+        power = max(2, n - 1)
+        assert (g - 1) ** power <= TOL.ctransform_guard < g ** power
+        named = rf"grid\^{power} = {g}\^{power} = {g ** power} exceeds"
+        with pytest.raises(SizeGuardError, match=named):
+            c_transform(zero_potential(g), ring10, n)
+
+        def no_work(*args):
+            raise AssertionError("certify_potential started work before its size guard")
+
+        monkeypatch.setattr(costs, "support_thresholds", no_work)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match=named):
+                certify_potential(uniform, ring10, n, grid_size=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6   # the n = 2, 3 pair matrix alone would be g^2 * 8 B = 8.4 MB
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_singular_cost_taken_as_given(self, ring_inverse, n):

@@ -76,7 +76,7 @@ class TestQuantile:
     def test_plateau_reported(self):
         nodes = np.array([0.0, 1.0, 2.0, TWO_PI])
         values = np.array([1.0, 0.0, 0.0, 1.0])
-        rho = GridDensity.from_values(nodes, values, normalize=True)
+        rho = GridDensity.from_values(nodes, values)
         level = rho.cdf(1.0)
         with pytest.raises(DegenerateQuantileError):
             rho.quantile(level)
@@ -121,8 +121,7 @@ class TestConcentration:
         # a tent of half-width 2 r centred between two of 4096 evenly spaced
         # centres, which a scan over those centres misses by about a fifth
         x0, w, r = 1000.5 * TWO_PI / 4096, 0.002, 0.001
-        rho = GridDensity.from_values([0.0, x0 - w, x0, x0 + w, TWO_PI], [1.0, 1.0, 1e3, 1.0, 1.0],
-                                      normalize=True)
+        rho = GridDensity.from_values([0.0, x0 - w, x0, x0 + w, TWO_PI], [1.0, 1.0, 1e3, 1.0, 1.0])
         peak = (2 * r + (1e3 - 1.0) * (2 * r - r * r / w)) / (TWO_PI + (1e3 - 1.0) * w)
         assert rho.concentration(r) == pytest.approx(peak, rel=1e-12)
 
@@ -190,7 +189,7 @@ class TestConstruction:
     def test_negative_rejected(self):
         nodes = np.array([0.0, np.pi, TWO_PI])
         with pytest.raises(ConstructionError):
-            GridDensity.from_values(nodes, np.array([1.0, -0.1, 1.0]), normalize=True)
+            GridDensity.from_values(nodes, np.array([1.0, -0.1, 1.0]))
 
     @pytest.mark.parametrize("field", ["nodes", "values"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

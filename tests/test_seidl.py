@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from ringmot.cli import render_artifact
 from ringmot.costs import LinearProfile, make_ring_cost
-from ringmot.errors import ConstructionError, DomainError
+from ringmot.errors import ConstructionError, DomainError, SizeGuardError
 from ringmot.measure1d import GridDensity
 from ringmot.mmot import quantize, solve_mmot
 from ringmot.seidl import DiscretePlan, SeidlMap, mass_staircase, plan_cost, plan_from_csv, seidl_plan
@@ -152,6 +154,17 @@ class TestPlanCost:
         assert plan_cost(sym, ring_inverse) == pytest.approx(
             plan_cost(plan, ring_inverse), abs=1e-12
         )
+
+    def test_symmetrize_guard(self, cosine):
+        # 10! * 10 atoms of 10 coordinates would be 2.9 GB; the guard trips first
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match=r"m = 10 atoms of n = 10 .* n! \* m = 36288000"):
+                seidl_plan(cosine, 10, 10, symmetrize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_matches_lp_oracle(self, cosine, ring_inverse):
         value = solve_mmot(quantize(cosine, 6), 2, ring_inverse).value
