@@ -112,7 +112,7 @@ class TestDiagonalDensity:
         # b_matrix evaluates the bump windows of B_ROWS points at a time and places
         # them on the z-grid (16.8 MB), so the peak (25.6 MB measured) is that block
         # plus B of the 2 * 5000 points; one product of all points would hold a
-        # 328 MB (points x 4096) matrix, and the windows of all points 24 MB each
+        # 328 MB (points x 4096) matrix, and the windows of all points 24 MB
         plan = seidl_plan(cosine08, 2, 32)
         g = GammaEta(plan, cosine08, chi, support_separation(plan) / 8)
         x = np.random.default_rng(3).uniform(0.0, TWO_PI, (5000, 2))
