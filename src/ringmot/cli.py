@@ -146,6 +146,9 @@ def run(args) -> int:
 
 
 def cmd_check_wellordering(args):
+    if args.expect == "strictly_well_ordering" and not args.strict:
+        raise DomainError("--expect strictly_well_ordering needs --strict: only a --strict check "
+                          "can return that verdict")
     model = costs.load_cost(args.cost)
     report = costs.check_well_ordering(model, grid_size=args.grid, strict=args.strict, seed=args.seed)
     code = 0

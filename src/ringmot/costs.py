@@ -31,6 +31,8 @@ from .errors import (
     DomainError,
     SizeGuardError,
     ThresholdNotFoundError,
+    _entry,
+    _numbers,
     require_finite,
 )
 
@@ -130,26 +132,6 @@ PROFILE_KINDS = {"inverse": InverseProfile, "exp": ExpProfile, "linear": LinearP
                  "power": PowerProfile, "table": TableProfile}
 
 
-def _entry(spec, key: str, what: str, of=object):
-    """spec[key]; ConstructionError names the key when spec is no JSON object, lacks it, or
-    holds a value there that is not an `of`."""
-    if not isinstance(spec, dict):
-        raise ConstructionError(f"{what} must be a JSON object, got a {type(spec).__name__}")
-    if key not in spec:
-        raise ConstructionError(f"{what} needs the key {key!r}")
-    if not isinstance(spec[key], of):
-        raise ConstructionError(f"{what} {key!r} must be a {of.__name__}, got {spec[key]!r}")
-    return spec[key]
-
-
-def _numbers(what: str, value):
-    """value if it is a JSON number or a list of them; else ConstructionError naming what."""
-    for v in value if isinstance(value, (list, tuple)) else [value]:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConstructionError(f"{what} must be numeric, got {v!r}")
-    return value
-
-
 def profile_from_spec(spec: dict):
     """The profile of a JSON spec; ConstructionError names a missing key or a bad parameter."""
     kind = _entry(spec, "kind", "profile spec")
@@ -181,7 +163,8 @@ class CostModel(Checked, NamedTuple("_Cost", [("kind", str), ("raw", object), ("
     truncations. It is translation invariant and exactly symmetric by
     construction; its profile is evaluated once here on 13 distances in
     [0, pi]. Any other cost gives its evaluator w(x, y) as `raw`, and its
-    exact symmetry is checked once here on 13 nodes of the domain.
+    exact symmetry is checked once here on 13 nodes of the domain; it is
+    evaluated on its domain only.
     """
 
     __slots__ = ()
@@ -214,8 +197,18 @@ class CostModel(Checked, NamedTuple("_Cost", [("kind", str), ("raw", object), ("
         return self.profile is not None
 
     def __call__(self, x, y):
+        """w(x, y); a raw cost raises DomainError naming the first x or y outside its domain."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        w = self.raw(x, y) if self.profile is None else self.profile(torus_distance(x, y))
+        if self.profile is None:
+            lo, hi = self.domain
+            for p in (x, y):
+                out = np.flatnonzero(~((p >= lo) & (p <= hi)))
+                if out.size:
+                    raise DomainError(f"{self.kind} cost is defined on [{lo!r}, {hi!r}] only, "
+                                      f"not at {float(p.flat[out[0]])!r}")
+            w = self.raw(x, y)
+        else:
+            w = self.profile(torus_distance(x, y))
         return np.asarray(w, dtype=float)[()]  # 0-d results come back as numpy scalars
 
     def pair_matrix(self, xs, ys=None):

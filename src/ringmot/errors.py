@@ -1,4 +1,4 @@
-"""Exception hierarchy, finiteness check and validating-record base shared across the package."""
+"""Exception hierarchy, finiteness and JSON-spec checks, and the validating-record base."""
 
 import numpy as np
 
@@ -48,6 +48,26 @@ def require_finite(what: str, x: np.ndarray, error: type[RingmotError]) -> None:
     if bad.size:
         at = tuple(int(i) for i in bad[0])
         raise error(f"{what} must be finite: index {at[0] if len(at) == 1 else at} holds {x[at]}")
+
+
+def _entry(spec, key: str, what: str, of=object):
+    """spec[key]; ConstructionError names the key when spec is no JSON object, lacks it, or
+    holds a value there that is not an `of`."""
+    if not isinstance(spec, dict):
+        raise ConstructionError(f"{what} must be a JSON object, got a {type(spec).__name__}")
+    if key not in spec:
+        raise ConstructionError(f"{what} needs the key {key!r}")
+    if not isinstance(spec[key], of):
+        raise ConstructionError(f"{what} {key!r} must be a {of.__name__}, got {spec[key]!r}")
+    return spec[key]
+
+
+def _numbers(what: str, value):
+    """value if it is a JSON number or a list of them; else ConstructionError naming what."""
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConstructionError(f"{what} must be numeric, got {v!r}")
+    return value
 
 
 class Checked:

@@ -2,7 +2,8 @@
 
 Densities are piecewise linear between nodes, so segment masses are exact
 quadratics and the CDF inverts in closed form. All operations are pure and
-the types are immutable after construction.
+the types are immutable after construction. Only `GridDensity.from_values`
+rescales values to unit mass; the JSON loader and named constructors call it.
 """
 
 from __future__ import annotations
@@ -13,12 +14,28 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import TOL, TWO_PI
-from .errors import ConstructionError, DegenerateQuantileError, DomainError, require_finite
+from .errors import ConstructionError, DegenerateQuantileError, DomainError, _entry, _numbers, require_finite
 
 
 def _as_array(x):
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
+
+
+def _grid(nodes, values):
+    """Float arrays of nodes and values; ConstructionError names the first that is not 1d
+    of equal length >= 2, a non-finite entry, or a node that does not increase."""
+    nodes, values = np.asarray(nodes, dtype=float), np.asarray(values, dtype=float)
+    if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
+        raise ConstructionError(f"density nodes and values must be 1d of equal length >= 2, "
+                                f"got shapes {nodes.shape} and {values.shape}")
+    require_finite("density nodes", nodes, ConstructionError)
+    require_finite("density values", values, ConstructionError)
+    k = np.flatnonzero(np.diff(nodes) <= 0)
+    if k.size:
+        raise ConstructionError(f"density nodes must be strictly increasing: index {k[0] + 1} "
+                                f"holds {float(nodes[k[0] + 1])!r} after {float(nodes[k[0]])!r}")
+    return nodes, values
 
 
 class GridDensity(NamedTuple("_Density", [
@@ -36,16 +53,9 @@ class GridDensity(NamedTuple("_Density", [
     __slots__ = ()
 
     def __new__(cls, nodes, values):
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
-            raise ConstructionError("nodes and values must be 1d arrays of equal length >= 2")
-        require_finite("density nodes", nodes, ConstructionError)
-        require_finite("density values", values, ConstructionError)
+        nodes, values = _grid(nodes, values)
         if abs(nodes[0]) > 0 or abs(nodes[-1] - TWO_PI) > 1e-12:
-            raise ConstructionError("nodes must start at 0 and end at 2*pi")
-        if not np.all(np.diff(nodes) > 0):
-            raise ConstructionError("nodes must be strictly increasing")
+            raise ConstructionError(f"density nodes span {nodes[[0, -1]].tolist()}, not [0, 2*pi]")
         if np.any(values < 0):
             raise ConstructionError("density values must be non-negative")
         h = np.diff(nodes)
@@ -72,17 +82,17 @@ class GridDensity(NamedTuple("_Density", [
 
     @classmethod
     def from_values(cls, nodes, values):
-        """The density of the given values, rescaled to unit trapezoid mass."""
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
+        """The density of values * (1 / M), M their trapezoid mass, which must be positive;
+        values within TOL.mass_tol of unit mass are kept as given, so `to_spec` loads back bit for bit."""
+        nodes, values = _grid(nodes, values)
         total = float(np.sum(0.5 * (values[:-1] + values[1:]) * np.diff(nodes)))
-        if total <= 0:
-            raise ConstructionError("cannot normalize a zero-mass density")
-        return cls(nodes, values / total)
+        if not total > 0:
+            raise ConstructionError(f"density values must have positive mass, got {total!r}")
+        return cls(nodes, values if abs(total - 1.0) <= TOL.mass_tol else values * (1.0 / total))
 
     @classmethod
     def uniform(cls):
-        return cls(np.array([0.0, TWO_PI]), np.array([1.0, 1.0]) / TWO_PI)
+        return cls.from_values([0.0, TWO_PI], [1.0, 1.0])
 
     @classmethod
     def cosine(cls, num_nodes: int = 641, amplitude: float = 1.0):
@@ -95,13 +105,11 @@ class GridDensity(NamedTuple("_Density", [
         return cls.from_values(nodes, 1.0 + amplitude * np.cos(nodes))
 
     @classmethod
-    def random_positive(cls, seed: int, num_nodes: int = 65, lo: float = 0.25, hi: float = 1.75):
-        """Seeded strictly positive density for randomized tests."""
-        rng = np.random.default_rng(seed)
-        values = rng.uniform(lo, hi, num_nodes)
+    def random_positive(cls, seed):
+        """Seeded strictly positive periodic density on 65 nodes, values drawn in [0.25, 1.75]."""
+        values = np.random.default_rng(seed).uniform(0.25, 1.75, 65)
         values[-1] = values[0]
-        nodes = np.linspace(0.0, TWO_PI, num_nodes)
-        return cls.from_values(nodes, values)
+        return cls.from_values(np.linspace(0.0, TWO_PI, 65), values)
 
     # -- queries --------------------------------------------------------
 
@@ -209,26 +217,14 @@ class GridDensity(NamedTuple("_Density", [
 
 
 def density_from_spec(spec: dict) -> GridDensity:
-    """Build a density from its JSON spec, its values rescaled to unit mass.
-
-    A spec that sets `periodic` declares equal first and last values; the
-    declaration is checked on the rescaled values.
-    """
-    try:
-        nodes = np.asarray(spec["nodes"], dtype=float)
-        values = np.asarray(spec["values"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConstructionError(f"malformed density spec: {exc}") from exc
-    require_finite("density nodes", nodes, ConstructionError)
-    require_finite("density values", values, ConstructionError)
-    h = np.diff(nodes)
-    if nodes.ndim != 1 or nodes.size < 2 or np.any(h <= 0):
-        raise ConstructionError("density spec needs strictly increasing nodes")
-    total = float(np.sum(0.5 * (values[:-1] + values[1:]) * h))
-    if not total > 0:
-        raise ConstructionError("density spec has non-positive total mass")
-    rho = GridDensity(nodes, values * (1.0 / total))
-    if spec.get("periodic", False) and abs(rho.values[0] - rho.values[-1]) > 1e-12:
+    """`GridDensity.from_values` of a spec's `nodes` and `values`, lists of JSON numbers; an
+    optional boolean `periodic` declares equal end values, checked on the rescaled values.
+    ConstructionError names a bad key or entry."""
+    nodes = _numbers("density nodes", _entry(spec, "nodes", "density spec", list))
+    values = _numbers("density values", _entry(spec, "values", "density spec", list))
+    periodic = "periodic" in spec and _entry(spec, "periodic", "density spec", bool)
+    rho = GridDensity.from_values(nodes, values)
+    if periodic and abs(rho.values[0] - rho.values[-1]) > 1e-12:
         raise ConstructionError("periodic density needs equal endpoint values")
     return rho
 

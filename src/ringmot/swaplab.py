@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import TOL
 from .costs import CostModel
-from .errors import Checked, ConstructionError, DomainError, require_finite
+from .errors import Checked, ConstructionError, DomainError, SizeGuardError, require_finite
 
 
 class Bipartition(Checked, NamedTuple("_Bipartition", [("n", int), ("members", tuple)])):
@@ -247,13 +247,13 @@ def bipartition_min_check(x, w: CostModel) -> BipartitionRanking:
 
     For well-ordering costs the odd/even split must come out minimal, within
     TOL.well_order_slack; for other costs the violating split is reported.
-    Guarded at 2n <= 12.
+    Guarded at 2n <= 12: more points raise SizeGuardError naming 2n.
     """
     x = _sorted_positions(x)
     if x.size % 2 != 0:
         raise DomainError("need an even number of points")
     if x.size > 12:
-        raise DomainError("exhaustive enumeration guarded at 2n <= 12")
+        raise SizeGuardError(f"2n = {x.size} points exceed the exhaustive enumeration's 2n <= 12 guard")
     n = x.size // 2
     entries = []
     # one representative per complementary pair: fix index 1 inside A

@@ -11,9 +11,14 @@ import pytest
 
 import ringmot
 from ringmot.cli import main
+from ringmot.config import TWO_PI
 from ringmot.costs import WELL_ORDER_GRID_GUARD
 from ringmot.measure1d import GridDensity
 from ringmot.seidl import plan_from_csv
+
+
+# strictly well-ordering on its window [0, 1], and defined there only
+GRAPH_01 = {"kind": "graph", "window": [0, 1], "f": {"kind": "exp"}, "g": {"kind": "exp"}}
 
 
 @pytest.fixture()
@@ -147,8 +152,13 @@ class TestExitCodes:
         ({"kind": "sum", "terms": [{"kind": "ring", "profile": {"kind": "inverse"}}], "weights": 1},
          "sum cost spec 'weights' must be a list, got 1"),
         ([{"kind": "ring", "profile": {"kind": "inverse"}}], "cost spec must be a JSON object, got a list"),
+        ({"kind": "truncated", "h": 0, "base": {"kind": "ring", "profile": {"kind": "inverse"}}},
+         "truncation level must be positive"),
+        ({"kind": "truncated", "h": True, "base": {"kind": "ring", "profile": {"kind": "inverse"}}},
+         "truncated cost h must be numeric, got True"),
+        ({"kind": "truncated", "h": 2.0}, "truncated cost spec needs the key 'base'"),
     ], ids=["no-profile", "table-no-xs", "window-null", "unknown-param", "non-numeric",
-            "scalar-weights", "list"])
+            "scalar-weights", "list", "truncated-h-zero", "truncated-h-bool", "truncated-no-base"])
     def test_malformed_cost_spec(self, tmp_path, capsys, spec, named):
         cost = tmp_path / "cost.json"
         cost.write_text(json.dumps(spec))
@@ -156,6 +166,56 @@ class TestExitCodes:
         assert run(["check-wellordering", "--cost", str(cost), "--grid", "16", "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert written(out) == []
+
+    @pytest.mark.parametrize("spec, named", [
+        ({"nodes": [0.0, TWO_PI], "values": None}, "density spec 'values' must be a list, got None"),
+        ({"nodes": [0.0, TWO_PI], "values": [True, 1.0]}, "density values must be numeric, got True"),
+        ({"nodes": ["0", TWO_PI], "values": [1.0, 1.0]}, "density nodes must be numeric, got '0'"),
+        ({"nodes": [0.0, TWO_PI], "values": [1.0, 1.0], "periodic": "no"},
+         "density spec 'periodic' must be a bool, got 'no'"),
+        ([[0.0, TWO_PI], [1.0, 1.0]], "density spec must be a JSON object, got a list"),
+        ({"nodes": [0.0, math.pi, TWO_PI], "values": [1.0, math.nan, 1.0]},
+         "density values must be finite: index 1 holds nan"),
+    ], ids=["values-null", "bool-value", "string-node", "periodic-string", "list", "nan"])
+    def test_malformed_density_spec(self, tmp_path, capsys, spec, named):
+        density = tmp_path / "density.json"
+        density.write_text(json.dumps(spec))
+        out = tmp_path / "plan"
+        assert run(["seidl-plan", "--density", str(density), "--n", "2", "--m", "4",
+                    "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert written(out) == []
+
+    @pytest.mark.parametrize("cmd", [
+        ["seidl-plan", "--density", "{density}", "--n", "2", "--m", "4"],
+        ["mmot-solve", "--density", "{density}", "--n", "2", "--m", "4"],
+        ["semiclassical", "--density", "{density}", "--n", "2", "--m", "8", "--eps", "1e-1"],
+        ["swap-demo", "--members", "1,3"],
+    ], ids=["seidl-plan", "mmot-solve", "semiclassical", "swap-demo"])
+    def test_graph_cost_outside_window(self, specs, tmp_path, capsys, cmd):
+        # every command evaluates the cost at points past the window's end 1
+        cost = tmp_path / "graph01.json"
+        cost.write_text(json.dumps(GRAPH_01))
+        out = tmp_path / "out"
+        argv = [arg.format(density=specs["density"]) for arg in cmd]
+        assert run([*argv, "--cost", str(cost), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "graph cost is defined on [0.0, 1.0] only, not at " in err
+        assert float(err.rsplit(" ", 1)[1]) > 1.0
+        assert written(out) == []
+
+    def test_strict_verdict_needs_strict(self, tmp_path, capsys):
+        cost = tmp_path / "graph01.json"
+        cost.write_text(json.dumps(GRAPH_01))
+        argv = ["check-wellordering", "--cost", str(cost), "--grid", "16",
+                "--expect", "strictly_well_ordering"]
+        out = tmp_path / "plain"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert "--expect strictly_well_ordering needs --strict" in capsys.readouterr().err
+        assert written(out) == []
+        out = tmp_path / "strict"
+        assert run([*argv, "--strict", "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["verdict"] == "strictly_well_ordering"
 
     @pytest.mark.parametrize("cmd, named", [
         (["kantorovich", "--n", "2", "--grid", "2048"], "grid^2 = 2048^2 = 4194304 exceeds"),

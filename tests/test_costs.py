@@ -1,3 +1,4 @@
+import re
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -87,6 +88,20 @@ class TestGraphAndTorusCost:
         lo, hi = window
         with pytest.raises(ConstructionError, match=rf"graph window \[{lo}, {hi}\] needs finite ends"):
             square_diff_cost(window)
+
+    @pytest.mark.parametrize("evaluate, point", [
+        (lambda w: w(0.5, 1.5), 1.5),
+        (lambda w: w(np.array([0.2, -0.25]), 0.5), -0.25),
+        (lambda w: w.pair_matrix(np.linspace(0.0, 1.0 + 1e-12, 5)), 1.0 + 1e-12),
+        (lambda w: w.grid_matrix(np.linspace(0.5, 2.5, 5)), 1.5),
+        (lambda w: truncate(w, 0.5)(0.5, np.pi), np.pi),
+    ], ids=["scalar", "array", "pair-matrix", "grid-matrix", "truncated"])
+    def test_graph_cost_only_on_its_window(self, evaluate, point):
+        w = make_graph_cost(ExpProfile(), ExpProfile(), window=(0.0, 1.0))
+        named = rf"graph cost is defined on \[0.0, 1.0\] only, not at {re.escape(repr(point))}$"
+        with pytest.raises(DomainError, match=named):
+            evaluate(w)
+        assert np.isfinite(w.grid_matrix(np.linspace(0.0, 1.0, 5))).all()
 
     def test_graph_hyperbola(self):
         w = make_graph_cost(lambda x: 1.0 / np.asarray(x, dtype=float),
@@ -286,6 +301,22 @@ class TestTranslationInvariantCriterion:
         )
         assert report.verdict == "well_ordering"
 
+    @pytest.mark.parametrize("g, interval", [
+        (lambda t: -np.asarray(t, dtype=float) ** 2, (0.0, 1.0)),
+        (np.sqrt, (0.0, 2.0)),
+        (lambda t: np.minimum(np.asarray(t, dtype=float), 0.5), (0.0, 1.0)),
+    ], ids=["minus-square", "sqrt", "capped"])
+    def test_concave_profile_violates_convexity(self, g, interval):
+        report = check_translation_invariant_criterion(g, interval)
+        c = report.counterexample
+        assert (report.verdict, c["reason"]) == ("violated", "convexity") and report.margin < 0
+        assert c["nested"] > min(c["near"], c["far"])
+        # each pairing sum is the profile at the counterexample's own distances
+        x1, x2, x3, x4 = c["points"]
+        for key, (a, b) in {"nested": (x3 - x1, x4 - x2), "near": (x2 - x1, x4 - x3),
+                            "far": (x4 - x1, x3 - x2)}.items():
+            assert c[key] == pytest.approx(float(g(a) + g(b)), abs=1e-12)
+
     def test_strict_mode(self):
         strictly = check_translation_invariant_criterion(
             lambda t: np.exp(-np.asarray(t, dtype=float)), (0.0, 10.0),
@@ -356,6 +387,17 @@ class TestTruncate:
         x = 0.05  # chord ~ 0.05, inverse ~ 20
         assert w10(0.0, x) == pytest.approx(10.0)
         assert ring_inverse(0.0, x) > 10.0
+
+    @pytest.mark.parametrize("base", [
+        {"kind": "ring", "profile": {"kind": "inverse"}},
+        {"kind": "graph", "f": {"kind": "exp"}, "g": {"kind": "inverse"}},
+    ], ids=["ring", "graph"])
+    def test_spec_matches_truncate(self, base):
+        spec = {"kind": "truncated", "h": 3.0, "base": base}
+        xs, ys = np.random.default_rng(1).uniform(0, TWO_PI, (2, 1000))
+        vals = cost_from_spec(spec)(xs, ys)
+        assert np.array_equal(vals, truncate(cost_from_spec(base), 3.0)(xs, ys))
+        assert 0 < np.count_nonzero(vals == 3.0) < vals.size
 
     def test_bounded_on_samples(self, ring_inverse):
         w10 = truncate(ring_inverse, 10.0)

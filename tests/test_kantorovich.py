@@ -324,11 +324,13 @@ class TestPinned:
         assert cert.fixed_point.iterations == pinned["iterations"]
 
     def test_potential_pinned(self, cosine, ring_inverse):
-        # the pair matrix read off one cost row; values taken when that path came in
+        # the pair matrix read off one cost row; values taken when that path came in, and
+        # retaken when `from_values` came to rescale by values * (1 / mass)
         self.assert_pinned(cosine, ring_inverse, "potential_cosine_n3_g64_grid_matrix.json")
 
     def test_potential_pinned_dense(self, cosine, ring_inverse, monkeypatch):
-        # the cost evaluated on every grid pair; values taken before the tiled min-plus
+        # the cost evaluated on every grid pair; values taken before the tiled min-plus, and
+        # retaken when `from_values` came to rescale by values * (1 / mass)
         monkeypatch.setattr(CostModel, "grid_matrix", CostModel.pair_matrix)
         self.assert_pinned(cosine, ring_inverse, "potential_cosine_n3_g64.json")
 

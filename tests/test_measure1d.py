@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,35 @@ class TestConstruction:
 
         again = load_density(path)
         assert np.allclose(again.values, rho.values)
+
+    @pytest.mark.parametrize("make", [
+        GridDensity.cosine, lambda: GridDensity.cosine(amplitude=0.8), GridDensity.uniform,
+        *(lambda seed=seed: GridDensity.random_positive(seed) for seed in range(8)),
+    ], ids=["cosine", "cosine08", "uniform", *(f"random{seed}" for seed in range(8))])
+    def test_spec_round_trip_is_bitwise(self, make):
+        rho = make()
+        again = density_from_spec(json.loads(json.dumps(rho.to_spec())))
+        for field in ("nodes", "values", "cum", "slopes"):
+            assert np.array_equal(getattr(again, field), getattr(rho, field)), field
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loader_is_from_values(self, seed):
+        nodes = np.linspace(0.0, TWO_PI, 33)
+        values = np.random.default_rng(seed).uniform(0.5, 2.0, 33)
+        spec = {"nodes": nodes.tolist(), "values": values.tolist()}
+        assert np.array_equal(density_from_spec(spec).values,
+                              GridDensity.from_values(nodes, values).values)
+
+    @pytest.mark.parametrize("nodes, values, named", [
+        ([0.0, np.pi, TWO_PI], [1.0, 1.0], "got shapes (3,) and (2,)"),
+        ([0.0, 4.0, 3.0, TWO_PI], [1.0] * 4,
+         "density nodes must be strictly increasing: index 2 holds 3.0 after 4.0"),
+        ([0.0, TWO_PI], [0.0, 0.0], "density values must have positive mass, got 0.0"),
+        ([0.0, np.pi], [1.0, 1.0], f"density nodes span [0.0, {np.pi!r}], not [0, 2*pi]"),
+    ], ids=["shapes", "unordered", "zero-mass", "short"])
+    def test_from_values_names_what_fails(self, nodes, values, named):
+        with pytest.raises(ConstructionError, match=re.escape(named)):
+            GridDensity.from_values(nodes, values)
 
     def test_replace_checks_and_rederives(self):
         with pytest.raises(ConstructionError, match="total mass"):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringmot.costs import PowerProfile, make_graph_cost, make_torus_cost, LinearProfile
-from ringmot.errors import ConstructionError, DomainError
+from ringmot.errors import ConstructionError, DomainError, SizeGuardError
 from ringmot.swaplab import (
     Bipartition,
     StepFunction,
@@ -217,7 +217,7 @@ class TestBipartitionMinCheck:
         assert res.violator is not None
 
     def test_guard(self, ring_inverse):
-        with pytest.raises(DomainError):
+        with pytest.raises(SizeGuardError, match="2n = 14 points exceed"):
             bipartition_min_check(np.sort(np.random.default_rng(0).uniform(0, 6, 14)), ring_inverse)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
