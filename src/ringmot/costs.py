@@ -33,7 +33,8 @@ from .errors import (
     ThresholdNotFoundError,
     _entry,
     _numbers,
-    require_finite,
+    require_table,
+    require_within,
 )
 
 if TYPE_CHECKING:
@@ -99,33 +100,20 @@ class TableProfile(Checked, NamedTuple("_Table", [("xs", tuple), ("ys", tuple)])
     """Piecewise-linear profile through (xs, ys); queries must stay in range.
 
     xs must be finite and strictly increasing and ys finite, at least two of
-    each and as many ys as xs; ConstructionError names the index that is not.
+    each and as many ys as xs (`require_table`); a query outside [xs[0], xs[-1]]
+    raises ConstructionError naming it and the range.
     """
 
     __slots__ = ()
 
     def __new__(cls, xs, ys):
-        x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-            raise ConstructionError(
-                f"table needs as many ys as xs, at least two: got {x.shape} and {y.shape}"
-            )
-        require_finite("table xs", x, ConstructionError)
-        require_finite("table ys", y, ConstructionError)
-        k = np.flatnonzero(np.diff(x) <= 0)
-        if k.size:
-            raise ConstructionError(
-                f"table xs must be strictly increasing: index {k[0] + 1} holds {x[k[0] + 1]} "
-                f"after {x[k[0]]}"
-            )
+        require_table("table xs", "table ys", xs, ys)
         return super().__new__(cls, tuple(xs), tuple(ys))
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
-        xs = np.asarray(self.xs)
-        if np.any(d < xs[0] - 1e-12) or np.any(d > xs[-1] + 1e-12):
-            raise ConstructionError("table profile queried outside its tabulated range")
-        return np.interp(d, xs, np.asarray(self.ys))
+        require_within("table profile", d, self.xs[0], self.xs[-1], ConstructionError, slack=1e-12)
+        return np.interp(d, np.asarray(self.xs), np.asarray(self.ys))
 
 
 PROFILE_KINDS = {"inverse": InverseProfile, "exp": ExpProfile, "linear": LinearProfile,
@@ -200,21 +188,16 @@ class CostModel(Checked, NamedTuple("_Cost", [("kind", str), ("raw", object), ("
         """w(x, y); a raw cost raises DomainError naming the first x or y outside its domain."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if self.profile is None:
-            lo, hi = self.domain
             for p in (x, y):
-                out = np.flatnonzero(~((p >= lo) & (p <= hi)))
-                if out.size:
-                    raise DomainError(f"{self.kind} cost is defined on [{lo!r}, {hi!r}] only, "
-                                      f"not at {float(p.flat[out[0]])!r}")
+                require_within(f"{self.kind} cost", p, *self.domain, DomainError)
             w = self.raw(x, y)
         else:
             w = self.profile(torus_distance(x, y))
         return np.asarray(w, dtype=float)[()]  # 0-d results come back as numpy scalars
 
-    def pair_matrix(self, xs, ys=None):
+    def pair_matrix(self, xs):
         xs = np.asarray(xs, dtype=float)
-        ys = xs if ys is None else np.asarray(ys, dtype=float)
-        return self(xs[:, None], ys[None, :])
+        return self(xs[:, None], xs[None, :])
 
     def grid_matrix(self, xs):
         """The pair matrix on a uniform grid xs, from one cost row when it can.
@@ -266,14 +249,21 @@ def make_graph_cost(f, g, window=(0.0, TWO_PI)) -> CostModel:
     w(x, y) = g(sqrt((x - y)^2 + (f(x) - f(y))^2)), restricted to a finite
     window of the half line. f and g should be convex and non-increasing for
     the exchange inequality to hold; nothing checks that here, and
-    `check_well_ordering` is the authority on whether it holds.
+    `check_well_ordering` is the authority on whether it holds. g must be
+    evaluable on [0, diag], diag the window's diagonal under f's range; f is
+    probed at 17 points of the window plus, for a table f, its breakpoints
+    inside it, where a piecewise-linear f reaches its extremes.
     """
     lo, hi = map(float, window)
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ConstructionError(f"graph window [{lo}, {hi}] needs finite ends with lo < hi")
     span = hi - lo
+    probe = np.linspace(lo, hi, 17)
+    if isinstance(f, TableProfile):
+        breaks = np.asarray(f.xs, dtype=float)
+        probe = np.concatenate((probe, breaks[(breaks > lo) & (breaks < hi)]))
     try:
-        fv = np.asarray(f(np.linspace(lo, hi, 17)), dtype=float)
+        fv = np.asarray(f(probe), dtype=float)
         diag = float(np.hypot(span, fv.max() - fv.min()))
         g(np.linspace(0.0, max(diag, 1e-9), 17))
     except Exception as exc:
@@ -414,18 +404,23 @@ def _exchange_gaps(C: np.ndarray) -> np.ndarray:
 
 
 def _counterexample(points: np.ndarray, C: np.ndarray, j: int) -> dict:
-    """The worst sorted quadruple with second index j, by brute force on that slice."""
-    i, k, l = np.ix_(np.arange(j + 1), np.arange(j, len(points)), np.arange(j, len(points)))
-    nested, near, far = C[i, k] + C[j, l], C[i, j] + C[k, l], C[i, l] + C[j, k]
-    with np.errstate(invalid="ignore"):
-        gap = np.where((k <= l) & np.isfinite(nested), np.minimum(near, far) - nested, np.inf)
-    at = np.unravel_index(np.argmin(gap), gap.shape)
-    return {
-        "points": [float(points[t]) for t in (at[0], j, j + at[1], j + at[2])],
-        "nested": float(nested[at]),
-        "near": float(near[at]),
-        "far": float(far[at]),
-    }
+    """The worst sorted quadruple with second index j, the first in (i, k, l) order, by brute
+    force over the (k, l) slice of each first index i: O(G^2) memory, as the scan."""
+    k, l = np.ix_(np.arange(j, len(points)), np.arange(j, len(points)))
+    best, worst = np.inf, None
+    for i in range(j + 1):
+        nested, near, far = C[i, k] + C[j, l], C[i, j] + C[k, l], C[i, l] + C[j, k]
+        with np.errstate(invalid="ignore"):
+            gap = np.where((k <= l) & np.isfinite(nested), np.minimum(near, far) - nested, np.inf)
+        at = np.unravel_index(np.argmin(gap), gap.shape)
+        if worst is None or gap[at] < best:
+            best, worst = gap[at], {
+                "points": [float(points[t]) for t in (i, j, j + at[0], j + at[1])],
+                "nested": float(nested[at]),
+                "near": float(near[at]),
+                "far": float(far[at]),
+            }
+    return worst
 
 
 # The scan is O(G^3) on a G^2 matrix: on a 2-core Xeon with numpy 2.4,
@@ -557,16 +552,14 @@ class Envelopes(NamedTuple):
     suffix_max: np.ndarray
 
     def m_at(self, t):
-        idx = np.searchsorted(self.distances, np.asarray(t, dtype=float), side="right") - 1
-        if np.any(idx < 0):
-            raise DomainError("no sampled pair at or below the requested distance")
-        return self.prefix_min[idx]
+        t = np.asarray(t, dtype=float)
+        require_within("m(t)", t, self.distances[0], np.inf, DomainError)
+        return self.prefix_min[np.searchsorted(self.distances, t, side="right") - 1]
 
     def M_at(self, t):
-        idx = np.searchsorted(self.distances, np.asarray(t, dtype=float), side="left")
-        if np.any(idx >= self.distances.size):
-            raise DomainError("no sampled pair at or above the requested distance")
-        return self.suffix_max[idx]
+        t = np.asarray(t, dtype=float)
+        require_within("M(t)", t, -np.inf, self.distances[-1], DomainError)
+        return self.suffix_max[np.searchsorted(self.distances, t, side="left")]
 
 
 def envelopes(model: CostModel) -> Envelopes:

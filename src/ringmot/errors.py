@@ -50,6 +50,32 @@ def require_finite(what: str, x: np.ndarray, error: type[RingmotError]) -> None:
         raise error(f"{what} must be finite: index {at[0] if len(at) == 1 else at} holds {x[at]}")
 
 
+def require_table(what_x: str, what_y: str, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays of a piecewise-linear table; ConstructionError unless they are 1d of equal
+    length >= 2 and finite, with strictly increasing xs, naming the first bad index."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+        raise ConstructionError(f"{what_x} and {what_y} must be 1d of equal length >= 2, "
+                                f"got shapes {x.shape} and {y.shape}")
+    require_finite(what_x, x, ConstructionError)
+    require_finite(what_y, y, ConstructionError)
+    k = np.flatnonzero(np.diff(x) <= 0)
+    if k.size:
+        raise ConstructionError(f"{what_x} must be strictly increasing: index {k[0] + 1} "
+                                f"holds {float(x[k[0] + 1])!r} after {float(x[k[0]])!r}")
+    return x, y
+
+
+def require_within(what: str, x, lo: float, hi: float, error: type[RingmotError],
+                   slack: float = 0.0) -> None:
+    """Raise `error` naming [lo, hi] and the first entry of x outside [lo - slack, hi + slack],
+    NaN included."""
+    inside = (x >= lo - slack) & (x <= hi + slack)
+    if not np.all(inside):
+        bad = np.asarray(x, dtype=float).flat[np.argmin(inside)]
+        raise error(f"{what} is defined on [{float(lo)!r}, {float(hi)!r}] only, not at {float(bad)!r}")
+
+
 def _entry(spec, key: str, what: str, of=object):
     """spec[key]; ConstructionError names the key when spec is no JSON object, lacks it, or
     holds a value there that is not an `of`."""

@@ -1,7 +1,9 @@
 """Non-atomic probability densities on [0, 2*pi].
 
 Densities are piecewise linear between nodes, so segment masses are exact
-quadratics and the CDF inverts in closed form. All operations are pure and
+quadratics and the CDF inverts in closed form. Queries take arguments in
+[0, 2*pi] (`quantile` in [0, 1]), give or take rounding, and raise DomainError
+naming the first other one, NaN included. All operations are pure and
 the types are immutable after construction. Only `GridDensity.from_values`
 rescales values to unit mass; the JSON loader and named constructors call it.
 """
@@ -14,28 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import TOL, TWO_PI
-from .errors import ConstructionError, DegenerateQuantileError, DomainError, _entry, _numbers, require_finite
+from .errors import (ConstructionError, DegenerateQuantileError, DomainError, _entry, _numbers,
+                     require_table, require_within)
 
 
 def _as_array(x):
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
-
-
-def _grid(nodes, values):
-    """Float arrays of nodes and values; ConstructionError names the first that is not 1d
-    of equal length >= 2, a non-finite entry, or a node that does not increase."""
-    nodes, values = np.asarray(nodes, dtype=float), np.asarray(values, dtype=float)
-    if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
-        raise ConstructionError(f"density nodes and values must be 1d of equal length >= 2, "
-                                f"got shapes {nodes.shape} and {values.shape}")
-    require_finite("density nodes", nodes, ConstructionError)
-    require_finite("density values", values, ConstructionError)
-    k = np.flatnonzero(np.diff(nodes) <= 0)
-    if k.size:
-        raise ConstructionError(f"density nodes must be strictly increasing: index {k[0] + 1} "
-                                f"holds {float(nodes[k[0] + 1])!r} after {float(nodes[k[0]])!r}")
-    return nodes, values
 
 
 class GridDensity(NamedTuple("_Density", [
@@ -53,7 +40,7 @@ class GridDensity(NamedTuple("_Density", [
     __slots__ = ()
 
     def __new__(cls, nodes, values):
-        nodes, values = _grid(nodes, values)
+        nodes, values = require_table("density nodes", "density values", nodes, values)
         if abs(nodes[0]) > 0 or abs(nodes[-1] - TWO_PI) > 1e-12:
             raise ConstructionError(f"density nodes span {nodes[[0, -1]].tolist()}, not [0, 2*pi]")
         if np.any(values < 0):
@@ -84,7 +71,7 @@ class GridDensity(NamedTuple("_Density", [
     def from_values(cls, nodes, values):
         """The density of values * (1 / M), M their trapezoid mass, which must be positive;
         values within TOL.mass_tol of unit mass are kept as given, so `to_spec` loads back bit for bit."""
-        nodes, values = _grid(nodes, values)
+        nodes, values = require_table("density nodes", "density values", nodes, values)
         total = float(np.sum(0.5 * (values[:-1] + values[1:]) * np.diff(nodes)))
         if not total > 0:
             raise ConstructionError(f"density values must have positive mass, got {total!r}")
@@ -116,13 +103,13 @@ class GridDensity(NamedTuple("_Density", [
     def density(self, x):
         """Pointwise density by linear interpolation."""
         x_arr, scalar = _as_array(x)
+        require_within("density argument", x_arr, 0.0, TWO_PI, DomainError, slack=1e-12)
         out = np.interp(x_arr, self.nodes, self.values)
         return float(out) if scalar else out
 
     def _piece(self, x_arr, what: str):
         """x clipped to [0, 2*pi] and the index k of its linear piece [nodes[k], nodes[k + 1]]."""
-        if np.any(x_arr < -1e-12) or np.any(x_arr > TWO_PI + 1e-12):
-            raise DomainError(f"{what} argument outside [0, 2*pi]")
+        require_within(f"{what} argument", x_arr, 0.0, TWO_PI, DomainError, slack=1e-12)
         x_arr = np.clip(x_arr, 0.0, TWO_PI)
         k = np.clip(np.searchsorted(self.nodes, x_arr, side="right") - 1, 0, self.nodes.size - 2)
         return x_arr, k
@@ -145,8 +132,7 @@ class GridDensity(NamedTuple("_Density", [
     def quantile(self, q):
         """Unique x with cdf(x) = q; raises on flat-CDF plateaus at level q."""
         q_arr, scalar = _as_array(q)
-        if np.any(q_arr < -1e-15) or np.any(q_arr > 1 + 1e-15):
-            raise DomainError("quantile argument outside [0, 1]")
+        require_within("quantile argument", q_arr, 0.0, 1.0, DomainError, slack=1e-15)
         q_arr = np.clip(q_arr, 0.0, 1.0)
         if self.plateaus.size and np.any(np.isin(q_arr, self.plateaus)):
             raise DegenerateQuantileError("flat CDF plateau at the requested mass level")
@@ -155,13 +141,10 @@ class GridDensity(NamedTuple("_Density", [
         v = self.values[k]
         s = self.slopes[k]
         h = np.diff(self.nodes)[k]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # positive root of v t + s t^2 / 2 = dq, stable for small s
-            disc = np.sqrt(np.maximum(v * v + 2.0 * s * dq, 0.0))
-            t_quad = np.where(np.abs(s) > 1e-300, 2.0 * dq / np.maximum(disc + v, 1e-300), 0.0)
-            t_lin = np.where(v > 0, dq / np.where(v > 0, v, 1.0), 0.0)
-        t = np.where(np.abs(s) * h > 1e-14 * np.maximum(v, 1e-300), t_quad, t_lin)
-        t = np.clip(t, 0.0, h)
+        # positive root of v t + s t^2 / 2 = dq in the form without cancellation; at s = 0
+        # it is dq / v bit for bit, since sqrt(fl(v * v)) = v under round-to-nearest
+        root = v + np.sqrt(np.maximum(v * v + 2.0 * s * dq, 0.0))
+        t = np.clip(2.0 * dq / np.where(root > 0, root, np.inf), 0.0, h)
         # one Newton polish keeps |cdf(x) - q| at the 1e-12 contract
         f = v * t + 0.5 * s * t * t - dq
         fp = v + s * t

@@ -204,6 +204,18 @@ class TestExitCodes:
         assert float(err.rsplit(" ", 1)[1]) > 1.0
         assert written(out) == []
 
+    def test_graph_cost_checked_at_table_breakpoints(self, tmp_path, capsys):
+        # f peaks at 5 between its 17 window samples; g's table ends short of hypot(4, 5)
+        f = {"kind": "table", "params": {"xs": [0, 0.1, 0.125, 0.15, 4], "ys": [0, 0, 5, 0, 0]}}
+        g = {"kind": "table", "params": {"xs": [0, 4.5], "ys": [1, 0]}}
+        cost = tmp_path / "peak.json"
+        cost.write_text(json.dumps({"kind": "graph", "window": [0, 4], "f": f, "g": g}))
+        out = tmp_path / "out"
+        assert run(["check-wellordering", "--cost", str(cost), "--grid", "64", "--out", str(out)]) == 2
+        assert ("graph profiles not evaluable on the window: table profile is defined on "
+                "[0.0, 4.5] only, not at 4.80") in capsys.readouterr().err
+        assert written(out) == []
+
     def test_strict_verdict_needs_strict(self, tmp_path, capsys):
         cost = tmp_path / "graph01.json"
         cost.write_text(json.dumps(GRAPH_01))

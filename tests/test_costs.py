@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -44,6 +45,12 @@ def flat(x):
 
 def square_diff_cost(window=(0.0, TWO_PI)):
     return make_graph_cost(flat, PowerProfile(2.0), window)
+
+
+# f's bump makes w(x, y) = exp(-|(x, f(x)) - (y, f(y))|) violate the exchange inequality
+BUMP_GRAPH = {"kind": "graph", "window": [0, 4],
+              "f": {"kind": "table", "params": {"xs": [0, 1.5, 2, 2.5, 4], "ys": [0, 0, 1, 0, 0]}},
+              "g": {"kind": "exp"}}
 
 
 class TestTorusDistance:
@@ -173,6 +180,35 @@ class TestWellOrdering:
                             window=(0.0, 4.0))
         report = check_well_ordering(w, grid_size=16, strict=True)
         assert report.verdict in ("well_ordering", "strictly_well_ordering")
+
+    @pytest.mark.parametrize("grid_size", [16, 48])
+    def test_counterexample_is_the_slice_argmin(self, grid_size):
+        # the first minimum in (i, k, l) order over the whole second-index-j slice
+        w = cost_from_spec(BUMP_GRAPH)
+        report = check_well_ordering(w, grid_size=grid_size, n_random=0)
+        xs = np.linspace(*w.domain, grid_size)
+        C = w.grid_matrix(xs)
+        j = int(np.flatnonzero(xs == report.counterexample["points"][1])[0])
+        i, k, l = np.ix_(np.arange(j + 1), np.arange(j, grid_size), np.arange(j, grid_size))
+        nested, near, far = C[i, k] + C[j, l], C[i, j] + C[k, l], C[i, l] + C[j, k]
+        gap = np.where((k <= l) & np.isfinite(nested), np.minimum(near, far) - nested, np.inf)
+        at = np.unravel_index(np.argmin(gap), gap.shape)
+        assert report.counterexample == {
+            "points": [float(xs[t]) for t in (at[0], j, j + at[1], j + at[2])],
+            "nested": float(nested[at]), "near": float(near[at]), "far": float(far[at]),
+        }
+
+    def test_counterexample_memory_stays_with_the_scan(self):
+        # the whole (j + 1) x (G - j)^2 slice taken at once traced a 775 MiB peak at G = 512
+        w = cost_from_spec(BUMP_GRAPH)
+        tracemalloc.start()
+        try:
+            report = check_well_ordering(w, grid_size=512, n_random=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "violated"
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def brute_force_gaps(C, strict):
@@ -379,6 +415,15 @@ class TestEnvelopes:
         assert np.all(env.m_at(d[off]) <= w[off])
         assert np.all(env.M_at(d[off]) >= w[off])
 
+    @pytest.mark.parametrize("envelope, t, named", [
+        ("m_at", -1.0, r"m\(t\) is defined on \[0.0, inf\] only, not at -1.0$"),
+        ("m_at", np.nan, r"m\(t\) is defined on \[0.0, inf\] only, not at nan$"),
+        ("M_at", 4.0, r"M\(t\) is defined on \[-inf, 3.141592653589793\] only, not at 4.0$"),
+    ])
+    def test_query_outside_the_sample_named(self, ring_inverse, envelope, t, named):
+        with pytest.raises(DomainError, match=named):
+            getattr(envelopes(ring_inverse), envelope)(np.array([1.0, t]))
+
 
 class TestTruncate:
     def test_pointwise_min(self, ring_inverse):
@@ -560,6 +605,16 @@ class TestSymmetryAndSerialization:
         with pytest.raises(ConstructionError, match="not evaluable on"):
             make_torus_cost(profile)  # torus distances reach pi
 
+    @pytest.mark.parametrize("d, named", [
+        (2.0, "2.0"), (-0.5, "-0.5"), (np.nan, "nan"), (np.array([0.5, 1.5, np.nan]), "1.5"),
+    ], ids=["above", "below", "nan", "array"])
+    def test_table_query_names_value_and_range(self, d, named):
+        profile = TableProfile((0.0, 1.0), (1.0, 0.0))
+        with pytest.raises(ConstructionError,
+                           match=rf"table profile is defined on \[0.0, 1.0\] only, not at {named}$"):
+            profile(d)
+        assert profile(1.0 + 1e-13) == 0.0
+
     @pytest.mark.parametrize(
         "xs,ys,message",
         [
@@ -567,8 +622,8 @@ class TestSymmetryAndSerialization:
             ((0.0, 1.0, 1.0), (1.0, 0.5, 0.0), "xs must be strictly increasing: index 2"),
             ((0.0, np.nan, 2.0), (1.0, 0.5, 0.0), "xs must be finite: index 1"),
             ((0.0, 1.0, 2.0), (1.0, 0.5, np.inf), "ys must be finite: index 2"),
-            ((0.0, 1.0), (1.0, 0.5, 0.0), "as many ys as xs"),
-            ((0.0,), (1.0,), "at least two"),
+            ((0.0, 1.0), (1.0, 0.5, 0.0), "table xs and table ys must be 1d of equal length"),
+            ((0.0,), (1.0,), "must be 1d of equal length >= 2"),
         ],
     )
     def test_table_profile_validated(self, xs, ys, message):

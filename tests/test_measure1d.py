@@ -50,7 +50,8 @@ class TestSlope:
         assert isinstance(cosine.slope(1.0), float)
 
     def test_domain_error(self, uniform):
-        with pytest.raises(DomainError, match="slope argument outside"):
+        named = r"slope argument is defined on \[0.0, 6.283185307179586\] only, not at 7.0$"
+        with pytest.raises(DomainError, match=named):
             uniform.slope(7.0)
 
 
@@ -83,6 +84,44 @@ class TestQuantile:
             rho.quantile(level)
         # away from the plateau level the inverse is fine
         assert rho.cdf(rho.quantile(0.25)) == pytest.approx(0.25, abs=1e-12)
+
+
+    def test_piecewise_constant_pieces_keep_their_bits(self):
+        # at slope 0 the root 2 dq / (v + sqrt(v v)) is dq / v exactly; the Newton step follows
+        nodes = [0.0, 2.0, 2.001, 4.0, 4.001, TWO_PI]
+        rho = GridDensity.from_values(nodes, [1.0, 1.0, 3.0, 3.0, 1.0, 1.0])
+        q = np.random.default_rng(0).uniform(0.0, 1.0, 4096)
+        k = np.searchsorted(rho.cum, q, side="right") - 1
+        q, k = q[rho.slopes[k] == 0.0], k[rho.slopes[k] == 0.0]
+        dq, v = q - rho.cum[k], rho.values[k]
+        t = dq / v
+        assert np.array_equal(rho.quantile(q), rho.nodes[k] + (t - (v * t - dq) / v))
+
+
+class TestQueryDomain:
+    """Each query names the first argument outside its interval, NaN included."""
+
+    @pytest.mark.parametrize("query", ["density", "slope", "cdf"])
+    @pytest.mark.parametrize("x", [7.0, -0.5, np.nan])
+    def test_outside_zero_two_pi(self, query, x):
+        rho = GridDensity.cosine(amplitude=0.8)
+        named = rf"{query} argument is defined on \[0.0, 6.283185307179586\] only, not at {x!r}$"
+        for arg in (x, np.array([1.0, x, 8.0])):
+            with pytest.raises(DomainError, match=named):
+                getattr(rho, query)(arg)
+
+    @pytest.mark.parametrize("q", [1.5, -0.25, np.nan])
+    def test_quantile_outside_unit_interval(self, q):
+        named = rf"quantile argument is defined on \[0.0, 1.0\] only, not at {q!r}$"
+        for arg in (q, np.array([0.5, q, 2.0])):
+            with pytest.raises(DomainError, match=named):
+                GridDensity.cosine(amplitude=0.8).quantile(arg)
+
+    def test_rounding_slack_kept(self):
+        rho = GridDensity.cosine(amplitude=0.8)
+        assert rho.density(TWO_PI + 1e-13) == rho.values[-1]
+        assert rho.cdf(-1e-13) == 0.0
+        assert rho.quantile(1.0 + 1e-16) == TWO_PI
 
 
 class TestSegments:
