@@ -43,7 +43,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import hashlib
 import importlib.util
 import io
 import json
@@ -123,6 +122,7 @@ def run(args) -> int:
     """Run one subcommand; write its artifacts and manifest only if all render."""
     started = time.perf_counter()
     code, artifacts, stages = args.func(args)
+    import hashlib  # here, not at import: it maps OpenSSL's libcrypto (about 3.7 MB RSS)
     inputs = [p for p in (getattr(args, "density", None), getattr(args, "cost", None)) if p]
     artifacts["manifest.json"] = {
         "schema": 1,

@@ -1,6 +1,6 @@
 """Pairwise interaction models and their structural certificates.
 
-A cost model evaluates w(x, y) with extended-real values (+inf allowed).
+A cost model evaluates w(x, y) in (-inf, +inf]: NaN and -inf are refused where it is built.
 Ring and torus costs, and their sums and truncations, are distance costs: a
 profile of the torus distance, so translation invariant and exactly
 symmetric by construction, and `grid_matrix` reads a uniform grid's pair
@@ -142,17 +142,25 @@ def profile_from_spec(spec: dict):
 # -- cost models ---------------------------------------------------------
 
 
+def _require_values(rule: str, name: str, xs, values, ok) -> None:
+    """ConstructionError naming the rule and the first value of `name` on the nodes xs not ok."""
+    bad = np.argwhere(~ok)
+    if bad.size:
+        at = tuple(float(xs[i]) for i in bad[0])
+        raise ConstructionError(f"{rule}: {name} at {at} is {float(values[tuple(bad[0])])!r}")
+
+
 class CostModel(Checked, NamedTuple("_Cost", [("kind", str), ("raw", object), ("domain", tuple),
                                      ("profile", object)])):
-    """Symmetric pairwise interaction with extended-real values.
+    """Symmetric pairwise interaction with values in (-inf, +inf].
 
     A distance cost is a profile of the torus distance, w(x, y) =
     profile(|x - y|_T) on [0, 2*pi]: ring and torus costs and their sums and
     truncations. It is translation invariant and exactly symmetric by
-    construction; its profile is evaluated once here on 13 distances in
-    [0, pi]. Any other cost gives its evaluator w(x, y) as `raw`, and its
-    exact symmetry is checked once here on 13 nodes of the domain; it is
-    evaluated on its domain only.
+    construction; its profile is probed here on 13 distances in [0, pi]. Any
+    other cost gives its evaluator w(x, y) as `raw`, probed here on 13 nodes of
+    its domain for exact symmetry, and is evaluated on its domain only. A NaN
+    or -inf probe value raises ConstructionError naming it; calls are unchecked.
     """
 
     __slots__ = ()
@@ -160,24 +168,23 @@ class CostModel(Checked, NamedTuple("_Cost", [("kind", str), ("raw", object), ("
     def __new__(cls, kind, raw=None, domain=(0.0, TWO_PI), profile=None):
         if (raw is None) == (profile is None):
             raise ConstructionError(f"{kind} cost needs exactly one of raw and profile")
-        if profile is not None:
-            if tuple(domain) != (0.0, TWO_PI):
-                raise ConstructionError(f"{kind} distance cost must live on [0, 2*pi]")
-            try:
-                profile(np.linspace(0.0, np.pi, 13))
-            except Exception as exc:
-                raise ConstructionError(f"{kind} profile not evaluable on [0, pi]: {exc}") from exc
-        else:
-            xs = np.linspace(*domain, 13)
-            w = np.asarray(raw(xs[:, None], xs[None, :]), dtype=float)
-            bad = np.argwhere(w != w.T)
-            if bad.size:
-                i, j = bad[0]
-                x, y = float(xs[i]), float(xs[j])
-                raise ConstructionError(
-                    f"{kind} cost is not exactly symmetric: w({x!r}, {y!r}) = "
-                    f"{float(w[i, j])!r} but w({y!r}, {x!r}) = {float(w[j, i])!r}"
-                )
+        if profile is not None and tuple(domain) != (0.0, TWO_PI):
+            raise ConstructionError(f"{kind} distance cost must live on [0, 2*pi]")
+        xs = np.linspace(*(domain if profile is None else (0.0, np.pi)), 13)
+        try:
+            with np.errstate(all="ignore"):  # the probe's values are judged, not numpy's warnings
+                w = np.asarray(profile(xs) if raw is None else raw(xs[:, None], xs[None, :]), dtype=float)
+        except Exception as exc:
+            raise ConstructionError(f"{kind} cost not evaluable on [{xs[0]}, {xs[-1]}]: {exc}") from exc
+        _require_values(f"{kind} cost must not be NaN or -inf", "w", xs, w, w > -np.inf)
+        bad = np.argwhere(w != w.T)  # a profile's 1d values are their own transpose
+        if bad.size:
+            i, j = bad[0]
+            x, y = float(xs[i]), float(xs[j])
+            raise ConstructionError(
+                f"{kind} cost is not exactly symmetric: w({x!r}, {y!r}) = "
+                f"{float(w[i, j])!r} but w({y!r}, {x!r}) = {float(w[j, i])!r}"
+            )
         return super().__new__(cls, kind, raw, domain, profile)
 
     @property
@@ -233,6 +240,13 @@ class CostModel(Checked, NamedTuple("_Cost", [("kind", str), ("raw", object), ("
         return np.lib.stride_tricks.sliding_window_view(wrapped, xs.size)[::-1].copy()
 
 
+def cells_cost(atoms: np.ndarray, weights: np.ndarray, w: CostModel) -> float:
+    """Energy of point tuples: per cell, a row of the (c, n) atoms, the cost summed over ordered
+    pairs i != j, weighted by positive weights; +inf exactly when a cell touches the +inf locus."""
+    i_idx, j_idx = np.triu_indices(atoms.shape[1], k=1)
+    return float(np.dot(weights, 2.0 * np.sum(w(atoms[:, i_idx], atoms[:, j_idx]), axis=1)))
+
+
 def make_ring_cost(g) -> CostModel:
     """Chordal interaction w(t, p) = g(2 sin(|t - p| / 2)) for particles on S^1."""
     return CostModel(kind="ring", profile=lambda d: g(2.0 * np.sin(0.5 * d)))
@@ -250,24 +264,27 @@ def make_graph_cost(f, g, window=(0.0, TWO_PI)) -> CostModel:
     window of the half line. f and g should be convex and non-increasing for
     the exchange inequality to hold; nothing checks that here, and
     `check_well_ordering` is the authority on whether it holds. g must be
-    evaluable on [0, diag], diag the window's diagonal under f's range; f is
-    probed at 17 points of the window plus, for a table f, its breakpoints
-    inside it, where a piecewise-linear f reaches its extremes.
+    evaluable on [0, diag], diag the window's diagonal under f's range, and
+    neither NaN nor -inf at 17 points there; f must be finite at 17 points of
+    the window plus, for a table f, its breakpoints inside it, where a
+    piecewise-linear f reaches its extremes.
     """
     lo, hi = map(float, window)
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ConstructionError(f"graph window [{lo}, {hi}] needs finite ends with lo < hi")
-    span = hi - lo
     probe = np.linspace(lo, hi, 17)
     if isinstance(f, TableProfile):
         breaks = np.asarray(f.xs, dtype=float)
         probe = np.concatenate((probe, breaks[(breaks > lo) & (breaks < hi)]))
     try:
-        fv = np.asarray(f(probe), dtype=float)
-        diag = float(np.hypot(span, fv.max() - fv.min()))
-        g(np.linspace(0.0, max(diag, 1e-9), 17))
+        with np.errstate(all="ignore"):  # the probe's values are judged, not numpy's warnings
+            fv = np.asarray(f(probe), dtype=float)
+            _require_values("f must be finite", "f", probe, fv, np.isfinite(fv))
+            ds = np.linspace(0.0, max(float(np.hypot(hi - lo, fv.max() - fv.min())), 1e-9), 17)
+            gv = np.asarray(g(ds), dtype=float)
     except Exception as exc:
         raise ConstructionError(f"graph profiles not evaluable on the window: {exc}") from exc
+    _require_values("graph cost must not be NaN or -inf", "g", ds, gv, gv > -np.inf)
 
     def raw(x, y):
         return g(np.hypot(x - y, f(x) - f(y)))
@@ -567,10 +584,10 @@ def envelopes(model: CostModel) -> Envelopes:
     if not model.translation_invariant:
         raise DomainError("envelopes require a distance cost on [0, 2*pi]")
     xs = np.arange(256) * (TWO_PI / 256)
-    d = torus_distance(xs[:, None], xs[None, :]).ravel()
-    order = np.argsort(d, kind="stable")
-    w = model(xs[:, None], xs[None, :]).ravel()[order]
-    return Envelopes(d[order], np.minimum.accumulate(w), np.maximum.accumulate(w[::-1])[::-1])
+    d = np.sort(torus_distance(xs[:, None], xs[None, :]), axis=None)
+    d = d[np.concatenate(([True], d[1:] != d[:-1]))]  # np.unique(d) would import numpy.ma
+    w = model(0.0, d)  # once per distinct distance: torus_distance(0, d) is d on [0, pi]
+    return Envelopes(d, np.minimum.accumulate(w), np.maximum.accumulate(w[::-1])[::-1])
 
 
 class SupportThresholds(NamedTuple):

@@ -18,10 +18,10 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .config import TOL, TWO_PI, gap_tolerance
-from .costs import CostModel
+from .costs import CostModel, cells_cost
 from .errors import Checked, DomainError, SizeGuardError, StateError
 from .measure1d import GridDensity
-from .seidl import SeidlMap, cells_cost, mass_staircase
+from .seidl import SeidlMap, mass_staircase
 
 if TYPE_CHECKING:
     from .mmot import LPSolution

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import TOL
-from .costs import CostModel
+from .costs import CostModel, cells_cost
 from .errors import Checked, ConstructionError, DomainError, SizeGuardError, require_finite
 from .measure1d import GridDensity
 
@@ -162,19 +162,6 @@ def seidl_plan(rho: GridDensity, n: int, m: int, symmetrize: bool = False) -> Di
     on = mass > 0
     plan = DiscretePlan(quantize(rho, m).atoms[cells[on]], mass[on])
     return plan.symmetrized() if symmetrize else plan
-
-
-def cells_cost(atoms: np.ndarray, weights: np.ndarray, w: CostModel) -> float:
-    """Energy of plan cells: per cell the cost summed over ordered pairs i != j, weighted.
-
-    `atoms` is (c, n); the weights need not sum to 1. +inf as soon as any
-    cell touches the infinity locus.
-    """
-    i_idx, j_idx = np.triu_indices(atoms.shape[1], k=1)
-    costs = 2.0 * np.sum(w(atoms[:, i_idx], atoms[:, j_idx]), axis=1)
-    if np.any(np.isinf(costs)):
-        return float("inf")
-    return float(np.dot(weights, costs))
 
 
 def plan_cost(plan: DiscretePlan, w: CostModel) -> float:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import TOL
-from .costs import CostModel
+from .costs import CostModel, cells_cost
 from .errors import Checked, ConstructionError, DomainError, SizeGuardError, require_finite
 
 
@@ -141,16 +141,12 @@ def swap_step(a: Bipartition) -> SwapResult:
 
 
 def paired_cost(x, a: Bipartition, w: CostModel) -> float:
-    """c_n(x_A) + c_n(x_{A^c}) with c_n the sum over ordered pairs."""
+    """c_n(x_A) + c_n(x_{A^c}), c_n the sum over ordered pairs: each team is one `cells_cost` cell."""
     x = np.asarray(x, dtype=float)
     if x.size != 2 * a.n:
         raise DomainError("need 2n sorted positions")
-    total = 0.0
-    for team in (a.members, a.complement().members):
-        pts = x[np.asarray(team, dtype=int) - 1]
-        i, j = np.triu_indices(len(team), k=1)
-        total = total + 2.0 * float(np.sum(w(pts[i], pts[j])))
-    return total
+    return sum(cells_cost(x[None, np.asarray(team, dtype=int) - 1], np.ones(1), w)
+               for team in (a.members, a.complement().members))
 
 
 class TraceStep(NamedTuple):

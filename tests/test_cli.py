@@ -216,6 +216,28 @@ class TestExitCodes:
                 "[0.0, 4.5] only, not at 4.80") in capsys.readouterr().err
         assert written(out) == []
 
+    @pytest.mark.parametrize("cmd", [
+        ["mmot-solve", "--density", "{density}", "--n", "2", "--m", "4"],
+        ["seidl-plan", "--density", "{density}", "--n", "2", "--m", "4"],
+        ["check-wellordering", "--grid", "16"],
+        ["kantorovich", "--density", "{density}", "--n", "2", "--grid", "32"],
+        ["semiclassical", "--density", "{density}", "--n", "2", "--m", "8", "--eps", "1e-1"],
+    ], ids=["mmot-solve", "seidl-plan", "check-wellordering", "kantorovich", "semiclassical"])
+    @pytest.mark.parametrize("params, named", [
+        ('{"rate": -1000.0, "scale": -1.0}', "w at (0.7853981633974483,) is -inf"),
+        ('{"rate": NaN}', "w at (0.0,) is nan"),
+        ('{"rate": Infinity}', "w at (0.0,) is nan"),
+    ], ids=["neg-inf", "nan", "infinity"])
+    def test_nan_or_neg_inf_cost_writes_nothing(self, specs, tmp_path, capsys, cmd, params, named):
+        # unrefused, the LP drops the -inf cells as if +inf and calls the neg-inf cost optimal at -2.0
+        cost = tmp_path / "bad.json"
+        cost.write_text(f'{{"kind": "ring", "profile": {{"kind": "exp", "params": {params}}}}}')
+        out = tmp_path / "out"
+        argv = [arg.format(density=specs["density"]) for arg in cmd]
+        assert run([*argv, "--cost", str(cost), "--out", str(out)]) == 2
+        assert f"error: ring cost must not be NaN or -inf: {named}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_strict_verdict_needs_strict(self, tmp_path, capsys):
         cost = tmp_path / "graph01.json"
         cost.write_text(json.dumps(GRAPH_01))
@@ -465,7 +487,7 @@ import ringmot.cli
 
 def loaded():
     return sorted(m for m in sys.modules
-                  if m.startswith("ringmot.") or m in ("numpy.ma", "dataclasses"))
+                  if m.startswith("ringmot.") or m in ("numpy.ma", "dataclasses", "_hashlib"))
 
 report = {"package_numpy": package_numpy, "import": loaded(),
           "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -519,6 +541,7 @@ class TestStartup:
         assert set(TRACED_MODULES) <= set(report["import"])
         assert "ringmot.swaplab" not in report["import"]
         assert "dataclasses" not in report["import"]
+        assert "_hashlib" not in report["import"]   # OpenSSL is mapped only to hash the inputs
         assert report["codes"] == [0] * len(commands)
         assert "ringmot.swaplab" not in report["run"]
         assert "numpy.ma" not in report["run"]

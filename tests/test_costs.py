@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -16,6 +17,7 @@ from ringmot.costs import (
     TableProfile,
     WellOrderReport,
     _exchange_gaps,
+    cells_cost,
     check_translation_invariant_criterion,
     check_well_ordering,
     cone_combine,
@@ -389,6 +391,15 @@ class TestTranslationInvariantCriterion:
             assert report_g.verdict == report_w.verdict, (knots, amps, bend)
 
 
+def pairwise_envelopes(model):
+    """The 65,536-pair envelopes: every pair of 256 equispaced nodes, stably sorted by distance."""
+    xs = np.arange(256) * (TWO_PI / 256)
+    d = torus_distance(xs[:, None], xs[None, :]).ravel()
+    order = np.argsort(d, kind="stable")
+    w = model(xs[:, None], xs[None, :]).ravel()[order]
+    return d[order], np.minimum.accumulate(w), np.maximum.accumulate(w[::-1])[::-1]
+
+
 class TestEnvelopes:
     def test_ring_inverse_at_pi(self, ring_inverse):
         env = envelopes(ring_inverse)
@@ -423,6 +434,31 @@ class TestEnvelopes:
     def test_query_outside_the_sample_named(self, ring_inverse, envelope, t, named):
         with pytest.raises(DomainError, match=named):
             getattr(envelopes(ring_inverse), envelope)(np.array([1.0, t]))
+
+    @pytest.mark.parametrize("kind", ["ring-inverse", "ring-exp", "torus-linear", "torus-power",
+                                      "torus-power-neg", "ring-table", "sum", "truncated"])
+    def test_queries_match_every_pair(self, kind, ring_inverse, torus_linear):
+        model = {
+            "ring-inverse": ring_inverse,
+            "ring-exp": make_ring_cost(ExpProfile(2.0)),
+            "torus-linear": torus_linear,
+            "torus-power": make_torus_cost(PowerProfile(2.0)),
+            "torus-power-neg": make_torus_cost(PowerProfile(-0.5)),
+            "ring-table": make_ring_cost(TableProfile((0.0, 0.5, 2.0), (3.0, 1.0, 0.0))),
+            "sum": cone_combine([ring_inverse, make_ring_cost(ExpProfile())], [1.0, 0.5]),
+            "truncated": truncate(ring_inverse, 3.0),
+        }[kind]
+        env = envelopes(model)
+        assert env.distances.size == 640 and np.all(np.diff(env.distances) > 0)
+        d, prefix_min, suffix_max = pairwise_envelopes(model)
+        assert np.array_equal(np.unique(d), env.distances)
+        betas = np.linspace(np.pi / 256, np.pi, 256)
+        t = np.concatenate((betas, betas / 2, np.random.default_rng(0).uniform(0, np.pi, 5000),
+                            env.distances))
+        m_ref = prefix_min[np.searchsorted(d, t, side="right") - 1]
+        M_ref = suffix_max[np.searchsorted(d, t, side="left")]
+        assert np.array_equal(env.m_at(t), m_ref)
+        assert np.array_equal(env.M_at(t), M_ref)
 
 
 class TestTruncate:
@@ -629,6 +665,95 @@ class TestSymmetryAndSerialization:
     def test_table_profile_validated(self, xs, ys, message):
         with pytest.raises(ConstructionError, match=message):
             TableProfile(xs, ys)
+
+
+# every profile kind, a sum and a truncation with such a term, and a graph cost's g
+NAN_OR_NEG_INF = {
+    "exp-overflow": ('{"kind": "ring", "profile": {"kind": "exp", "params": '
+                     '{"rate": -1000.0, "scale": -1.0}}}', "ring", "w at (0.7853981633974483,) is -inf"),
+    "exp-nan-rate": ('{"kind": "ring", "profile": {"kind": "exp", "params": {"rate": NaN}}}',
+                     "ring", "w at (0.0,) is nan"),
+    "exp-infinite-rate": ('{"kind": "ring", "profile": {"kind": "exp", "params": {"rate": Infinity}}}',
+                          "ring", "w at (0.0,) is nan"),
+    "inverse-nan-scale": ('{"kind": "ring", "profile": {"kind": "inverse", "params": {"scale": NaN}}}',
+                          "ring", "w at (0.2617993877991494,) is nan"),
+    "linear-neg-infinite": ('{"kind": "torus", "profile": {"kind": "linear", "params": '
+                            '{"intercept": -Infinity}}}', "torus", "w at (0.0,) is -inf"),
+    "linear-infinite-slope": ('{"kind": "torus", "profile": {"kind": "linear", "params": '
+                              '{"intercept": 1.0, "slope": Infinity}}}', "torus", "w at (0.0,) is nan"),
+    "power-nan-exponent": ('{"kind": "torus", "profile": {"kind": "power", "params": {"exponent": NaN}}}',
+                           "torus", "w at (0.2617993877991494,) is nan"),
+    "power-neg-infinite-scale": ('{"kind": "torus", "profile": {"kind": "power", "params": '
+                                 '{"exponent": 1.0, "scale": -Infinity}}}', "torus", "w at (0.0,) is nan"),
+    "sum-term": ('{"kind": "sum", "weights": [1.0, 1.0], "terms": [{"kind": "ring", "profile": '
+                 '{"kind": "inverse"}}, {"kind": "ring", "profile": {"kind": "exp", "params": '
+                 '{"rate": -1000.0, "scale": -1.0}}}]}', "ring", "w at (0.7853981633974483,) is -inf"),
+    "truncated-base": ('{"kind": "truncated", "h": 3.0, "base": {"kind": "torus", "profile": '
+                       '{"kind": "linear", "params": {"intercept": NaN}}}}', "torus", "w at (0.0,) is nan"),
+    "graph-g": ('{"kind": "graph", "window": [0, 4], "f": {"kind": "exp"}, "g": {"kind": "exp", '
+                '"params": {"rate": -1000.0, "scale": -1.0}}}', "graph", "g at (0.7722565799322452,) is -inf"),
+}
+
+
+class TestValueRule:
+    """A cost takes values in (-inf, +inf]: a NaN or -inf probe value is refused when it is built."""
+
+    @pytest.mark.parametrize("name", list(NAN_OR_NEG_INF))
+    def test_refused_where_built_naming_the_value(self, name):
+        text, kind, named = NAN_OR_NEG_INF[name]
+        with pytest.raises(ConstructionError,
+                           match=rf"^{kind} cost must not be NaN or -inf: {re.escape(named)}$"):
+            cost_from_spec(json.loads(text))
+
+    def test_table_profile_refuses_non_finite_values(self):
+        with pytest.raises(ConstructionError, match="table ys must be finite: index 1 holds -inf"):
+            cost_from_spec(json.loads('{"kind": "torus", "profile": {"kind": "table", "params": '
+                                      '{"xs": [0.0, 4.0], "ys": [1.0, -Infinity]}}}'))
+
+    def test_graph_f_must_be_finite(self):
+        spec = '{"kind": "graph", "f": {"kind": "exp", "params": {"rate": NaN}}, "g": {"kind": "exp"}}'
+        with pytest.raises(ConstructionError, match=r"f must be finite: f at \(0.0,\) is nan$"):
+            cost_from_spec(json.loads(spec))
+
+    def test_raw_nan_named_before_symmetry(self):
+        # NaN != NaN, so the symmetry check alone would call this cost asymmetric
+        with pytest.raises(ConstructionError,
+                           match=r"^nan-cost cost must not be NaN or -inf: w at \(0.0, 0.0\) is nan$"):
+            CostModel(kind="nan-cost", raw=lambda x, y: np.full(np.broadcast(x, y).shape, np.nan),
+                      domain=(0.0, TWO_PI))
+
+    def test_raw_neg_inf_named(self):
+        def raw(x, y):
+            return np.where(np.abs(x - y) > 3.0, -np.inf, 1.0)
+
+        with pytest.raises(ConstructionError, match=r"w at \(0.0, 3.141592653589793\) is -inf$"):
+            CostModel(kind="raw", raw=raw, domain=(0.0, TWO_PI))
+
+    def test_plus_inf_allowed(self):
+        # exp(1000 chord) overflows to +inf: a forbidden pair, not an error
+        w = cost_from_spec({"kind": "ring", "profile": {"kind": "exp",
+                                                        "params": {"rate": -1000.0, "scale": 1.0}}})
+        with np.errstate(over="ignore"):
+            assert w(0.0, np.pi) == np.inf
+        assert np.isinf(cost_from_spec({"kind": "ring", "profile": {"kind": "inverse"}})(1.0, 1.0))
+
+
+class TestCellsCost:
+    def test_defined_in_costs(self):
+        from ringmot import kantorovich, seidl, swaplab
+        assert cells_cost.__module__ == "ringmot.costs"
+        assert seidl.cells_cost is kantorovich.cells_cost is swaplab.cells_cost is cells_cost
+
+    def test_weighted_sum_over_ordered_pairs(self, ring_inverse):
+        atoms = np.array([[0.0, 1.0, 2.0], [0.5, 2.5, 4.5]])
+        weights = np.array([0.25, 0.75])
+        per_cell = [2.0 * sum(ring_inverse(a[i], a[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+                    for a in atoms]
+        assert cells_cost(atoms, weights, ring_inverse) == pytest.approx(np.dot(weights, per_cell))
+
+    def test_plus_inf_cell(self, ring_inverse):
+        atoms = np.array([[0.0, 1.0], [2.0, 2.0]])
+        assert cells_cost(atoms, np.array([0.5, 0.5]), ring_inverse) == np.inf
 
 
 class TestAppendixGraphCosts:

@@ -226,3 +226,29 @@ class TestBipartitionMinCheck:
         x = np.array([0.5, 1.0, bad, 3.0])
         with pytest.raises(DomainError, match=f"index 2 holds {bad}"):
             bipartition_min_check(x, ring_inverse)
+
+
+def per_team_paired_cost(x, a, w):
+    """The paired cost as each team's own loop over its pairs, summed in team order."""
+    total = 0.0
+    for team in (a.members, a.complement().members):
+        pts = x[np.asarray(team, dtype=int) - 1]
+        i, j = np.triu_indices(len(team), k=1)
+        total = total + 2.0 * float(np.sum(w(pts[i], pts[j])))
+    return total
+
+
+class TestPairedCost:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_for_bit_per_team(self, ring_inverse, seed):
+        rng = np.random.default_rng(seed)
+        graph = make_graph_cost(lambda t: np.exp(-t), PowerProfile(-1.0), (0.0, TWO_PI))
+        for w in (ring_inverse, make_torus_cost(LinearProfile(np.pi, 1.0)), graph):
+            for _ in range(20):
+                n = int(rng.integers(1, 8))
+                x = np.sort(rng.uniform(0.0, TWO_PI, 2 * n))
+                if rng.random() < 0.2:
+                    x[1] = x[0]    # a coincident pair: +inf under the singular costs
+                a = Bipartition(n, rng.permutation(np.arange(1, 2 * n + 1))[:n])
+                got, want = paired_cost(x, a, w), per_team_paired_cost(x, a, w)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, x, a.members)
