@@ -8,8 +8,9 @@ hashes, parameters, versions, stages, wall time) first, and only then creates
 ``--out``. Data outputs are byte-deterministic for fixed arguments; the
 manifest timestamp and wall time are the only non-reproducible fields.
 
-Exit codes: 0 success, 1 verdict failure (e.g. --expect mismatch), 2 errors.
-Exit 0 or 1 writes every artifact and the manifest; exit 2 writes nothing.
+Exit codes: 0 success, 1 verdict failure (e.g. --expect mismatch), 2 errors,
+out of memory included. Exit 0 or 1 writes every artifact and the manifest;
+exit 2 writes nothing.
 
 The solver modules (``SOLVER_MODULES``) are registered, not executed: each is
 in ``sys.modules`` and on the package right after ``import ringmot.cli``, and
@@ -183,6 +184,7 @@ def cmd_swap_demo(args):
 
 
 def cmd_mmot_solve(args):
+    mmot.check_lp_size(args.m, args.n)
     rho = measure1d.load_density(args.density)
     w = costs.load_cost(args.cost)
     sol = mmot.solve_mmot(seidl.quantize(rho, args.m), args.n, w)
@@ -304,6 +306,9 @@ def main(argv=None) -> int:
         return 2
     except RingmotError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,7 +1,8 @@
-"""Numerical tolerances and grid sizes, pinned in one place.
+"""Numerical tolerances and grid resolutions, pinned in one place.
 
 Every tolerance used by a contract check lives here so that tests and
-library code agree on the budgets.
+library code agree on the budgets. Size guards are not tolerances: each
+guard's limit is a constant beside its one check (`errors.require_size`).
 """
 
 from typing import NamedTuple
@@ -19,10 +20,6 @@ class Tolerances(NamedTuple):
     lp_pivot_tol: float = 1e-9
     lp_feasibility_tol: float = 1e-9
     lp_dual_tol: float = 1e-7
-    lp_cell_guard: int = 200_000
-
-    # kantorovich
-    ctransform_guard: int = 1 << 20     # grid**max(2, n-1) cap for one transform
 
     # semiclassical
     mollifier_table: int = 2048

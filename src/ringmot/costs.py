@@ -29,10 +29,11 @@ from .errors import (
     ConcentrationError,
     ConstructionError,
     DomainError,
-    SizeGuardError,
     ThresholdNotFoundError,
     _entry,
     _numbers,
+    power_size,
+    require_size,
     require_table,
     require_within,
 )
@@ -314,8 +315,13 @@ def cone_combine(models, weights) -> CostModel:
     weights = [float(wt) for wt in weights]
     if not models:
         raise ConstructionError("cone_combine needs at least one model")
-    if len(models) != len(weights) or any(wt <= 0 for wt in weights):
-        raise ConstructionError("cone_combine needs one positive weight per model")
+    if len(models) != len(weights):
+        raise ConstructionError(f"cone_combine needs one weight per model: got {len(weights)} "
+                                f"weights for {len(models)} models")
+    for i, wt in enumerate(weights):
+        if not 0 < wt < np.inf:
+            raise ConstructionError(f"cone_combine weights must be finite and positive: "
+                                    f"weight {i} is {wt!r}")
 
     def weighted_sum(values):
         total = weights[0] * values[0]
@@ -463,8 +469,7 @@ def check_well_ordering(
     """
     if grid_size < 4:
         raise DomainError("need grid_size >= 4")
-    if grid_size > WELL_ORDER_GRID_GUARD:
-        raise SizeGuardError(f"grid_size = {grid_size} exceeds the {WELL_ORDER_GRID_GUARD} guard")
+    require_size("grid_size", grid_size, WELL_ORDER_GRID_GUARD)
     n_random = 10 * grid_size if n_random is None else n_random
     lo, hi = model.domain
     grid = np.linspace(lo, hi, grid_size)
@@ -489,6 +494,10 @@ def check_well_ordering(
     return WellOrderReport(verdict, max(margin, 0.0), None, grid_size, n_random, seed)
 
 
+# cells of each (grid_size - 1)^3 array of the shifted-sum condition: 32 MB of floats
+TRANSLATION_CRITERION_GUARD = 1 << 22
+
+
 def check_translation_invariant_criterion(
     g,
     interval=(0.0, TWO_PI),
@@ -501,8 +510,12 @@ def check_translation_invariant_criterion(
     to (i) convexity of g on [0, b - a] and (ii)
     g(d0 + delta) + g(d1 + delta) <= g(d0) + g(d1) whenever
     d0 + d1 + delta <= b - a with positive d0, d1, delta. Violations are
-    reported as honest four-point counterexamples.
+    reported as honest four-point counterexamples. More than
+    TRANSLATION_CRITERION_GUARD cells (grid_size - 1)^3 raise SizeGuardError
+    before g is evaluated.
     """
+    require_size("(grid_size - 1)^3", power_size(grid_size - 1, 3, TRANSLATION_CRITERION_GUARD),
+                 TRANSLATION_CRITERION_GUARD)
     lo, hi = interval
     span = hi - lo
     slack = TOL.well_order_slack

@@ -76,6 +76,33 @@ def require_within(what: str, x, lo: float, hi: float, error: type[RingmotError]
         raise error(f"{what} is defined on [{float(lo)!r}, {float(hi)!r}] only, not at {float(bad)!r}")
 
 
+def require_size(what: str, size, limit: int) -> None:
+    """Raise SizeGuardError "<what> = <size> exceeds the <limit> guard" unless size <= limit.
+
+    size is an int, or a pair (factors, value): the size written by its factors,
+    and its value, or None where the caller has shown it past the limit without
+    building it (`power_size`). The message names the factors, then the value if any.
+    """
+    if isinstance(size, tuple):
+        factors, value = size
+        if value is not None and value <= limit:
+            return
+        size = factors if value is None else f"{factors} = {value}"
+    elif size <= limit:
+        return
+    raise SizeGuardError(f"{what} = {size} exceeds the {limit} guard")
+
+
+def power_size(base: int, exponent: int, limit: int) -> tuple[str, int | None]:
+    """base^exponent, for base >= 0, as a `require_size` pair built only where it can be within limit.
+
+    For exponent >= 1 it is past limit without being built when base > limit, or
+    when base >= 2 and exponent > limit.bit_length(), as 2^bit_length > limit.
+    """
+    past = exponent >= 1 and (base > limit or base >= 2 and exponent > limit.bit_length())
+    return f"{base}^{exponent}", None if past else base ** exponent
+
+
 def _entry(spec, key: str, what: str, of=object):
     """spec[key]; ConstructionError names the key when spec is no JSON object, lacks it, or
     holds a value there that is not an `of`."""

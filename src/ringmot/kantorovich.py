@@ -17,9 +17,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .config import TOL, TWO_PI, gap_tolerance
+from .config import TWO_PI, gap_tolerance
 from .costs import CostModel, cells_cost
-from .errors import Checked, DomainError, SizeGuardError, StateError
+from .errors import Checked, DomainError, StateError, power_size, require_size
 from .measure1d import GridDensity
 from .seidl import SeidlMap, mass_staircase
 
@@ -87,8 +87,12 @@ class _PairMatrix(NamedTuple):
     minima: np.ndarray | None = None
 
 
+# grid^max(2, n-1) cap for one transform
+CTRANSFORM_GUARD = 1 << 20
+
+
 def _check_transform_size(g: int, n: int) -> None:
-    """The c-transform guard: g^max(2, n-1) <= TOL.ctransform_guard.
+    """The c-transform guard: g^max(2, n-1) <= CTRANSFORM_GUARD.
 
     A transform on g grid nodes holds the g x g pair matrix and, for n >= 3,
     minimizes over g^(n-1) tuples, so both sizes are bounded.
@@ -96,11 +100,7 @@ def _check_transform_size(g: int, n: int) -> None:
     if n < 2:
         raise DomainError("need n >= 2 marginals")
     power = max(2, n - 1)
-    if g ** power > TOL.ctransform_guard:
-        raise SizeGuardError(
-            f"grid^{power} = {g}^{power} = {g ** power} exceeds the "
-            f"c-transform guard {TOL.ctransform_guard}"
-        )
+    require_size(f"grid^{power}", power_size(g, power, CTRANSFORM_GUARD), CTRANSFORM_GUARD)
 
 
 def _doubled_pair_matrix(grid: np.ndarray, w: CostModel, n: int) -> _PairMatrix:
@@ -464,14 +464,15 @@ def certify_potential(
     `_auto_radius`; it sets the oscillation box, and the cost truncated at h
     prices one of the two LPs on the m-point quantization, whose values
     give `lp_value_*` and the truncation lemma's check. The c-transform guard
-    on grid_size is checked before any of it.
+    on grid_size and the LP guard on m are checked before any of it.
     """
     from .costs import support_thresholds, truncate
-    from .mmot import quantize, solve_mmot
+    from .mmot import check_lp_size, quantize, solve_mmot
 
     if grid_size < 3:  # the inclusive grid holds 0 and 2*pi: one ring point at size 2
         raise DomainError(f"grid_size = {grid_size} is below 3; the grid needs two ring points")
     _check_transform_size(grid_size, n)
+    check_lp_size(m, n)
     thresholds = support_thresholds(rho, w, _auto_radius(rho, n), n)
     marginal = quantize(rho, m)
     sol_h = solve_mmot(marginal, n, truncate(w, thresholds.h))

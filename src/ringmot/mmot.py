@@ -22,9 +22,12 @@ import numpy as np
 
 from .config import TOL
 from .costs import CostModel
-from .errors import DomainError, SizeGuardError, StateError
+from .errors import DomainError, StateError, power_size, require_size
 from .seidl import DiscreteMarginal, DiscretePlan, quantize, staircase  # quantize: importable here
 from .simplex import solve_equality_lp
+
+# m^n cells of the joint tensor, each a column of the simplex
+LP_CELL_GUARD = 200_000
 
 
 class LPSolution(NamedTuple):
@@ -81,6 +84,17 @@ def _cell_costs(marginal: DiscreteMarginal, n: int, w: CostModel):
     return digits, costs
 
 
+def check_lp_size(m: int, n: int) -> None:
+    """The LP guard: m^n <= LP_CELL_GUARD cells for n >= 2 marginals on m >= 1 atoms.
+
+    `solve_mmot` checks it first; a caller that quantizes the marginal checks it
+    before quantizing.
+    """
+    if n < 2 or m < 1:
+        raise DomainError(f"need n >= 2 marginals and m >= 1 atoms: got n = {n}, m = {m}")
+    require_size("m^n", power_size(m, n, LP_CELL_GUARD), LP_CELL_GUARD)
+
+
 def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     """Exact LP over the m^n joint tensor with marginal equality constraints.
 
@@ -90,11 +104,8 @@ def solve_mmot(marginal: DiscreteMarginal, n: int, w: CostModel) -> LPSolution:
     (``sol.residuals``) are within their ``TOL`` bounds; otherwise
     StateError names the residual and the bound.
     """
-    if n < 2:
-        raise DomainError("need n >= 2 marginals")
     m = marginal.m
-    if m**n > TOL.lp_cell_guard:
-        raise SizeGuardError(f"m^n = {m**n} exceeds the {TOL.lp_cell_guard} cell guard")
+    check_lp_size(m, n)
 
     digits, costs = _cell_costs(marginal, n, w)
     finite = np.isfinite(costs)

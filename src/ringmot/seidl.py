@@ -19,11 +19,21 @@ import numpy as np
 
 from .config import TOL
 from .costs import CostModel, cells_cost
-from .errors import Checked, ConstructionError, DomainError, SizeGuardError, require_finite
+from .errors import Checked, ConstructionError, DomainError, require_finite, require_size
 from .measure1d import GridDensity
 
 # atoms of a symmetrized plan: 200,000 atoms of n = 7 coordinates are 11 MB
 SYMMETRIZED_ATOM_GUARD = 200_000
+
+
+def _check_symmetrized_size(n: int, m: int) -> None:
+    """The symmetrize guard: n! * m <= SYMMETRIZED_ATOM_GUARD atoms out of m atoms of n coordinates.
+
+    n! >= 2^(n-1), so past the guard's bit length n! is not built.
+    """
+    past = n > SYMMETRIZED_ATOM_GUARD.bit_length()
+    require_size("n! * m", (f"{n}! * {m}", None if past else factorial(n) * m),
+                 SYMMETRIZED_ATOM_GUARD)
 
 
 class SeidlMap(Checked, NamedTuple("_SeidlMap", [("rho", GridDensity), ("n", int)])):
@@ -125,13 +135,10 @@ class DiscretePlan(Checked, NamedTuple("_Plan", [("atoms", np.ndarray), ("weight
         """Replace each atom by its n! coordinate permutations at weight / n!.
 
         More than SYMMETRIZED_ATOM_GUARD atoms out raises SizeGuardError before
-        any permutation is listed.
+        any permutation is listed (`_check_symmetrized_size`).
         """
-        n, m = self.n, self.atoms.shape[0]
-        size = factorial(n) * m
-        if size > SYMMETRIZED_ATOM_GUARD:
-            raise SizeGuardError(f"symmetrizing m = {m} atoms of n = {n} coordinates makes "
-                                 f"n! * m = {size} atoms, above the {SYMMETRIZED_ATOM_GUARD} atom guard")
+        n = self.n
+        _check_symmetrized_size(n, self.atoms.shape[0])
         perms = list(permutations(range(n)))
         atoms = np.concatenate([self.atoms[:, p] for p in perms], axis=0)
         weights = np.tile(self.weights / factorial(n), len(perms))
@@ -150,14 +157,22 @@ def plan_from_csv(path) -> DiscretePlan:
     return DiscretePlan(data[:, :-1], data[:, -1])
 
 
+def check_plan_shape(n: int, m: int) -> None:
+    """DomainError unless n >= 2 and m is a positive multiple of n, as `seidl_plan` needs."""
+    if n < 2 or m < n or m % n != 0:
+        raise DomainError(f"need n >= 2 marginals and m a positive multiple of n: got n = {n}, m = {m}")
+
+
 def seidl_plan(rho: GridDensity, n: int, m: int, symmetrize: bool = False) -> DiscretePlan:
     """Plan on `quantize(rho, m)` whose row j holds atoms j, j + m/n, ..., j + (n-1) m/n mod m.
 
     These are the mass-1/m cells of `staircase(m, n)`. m must be a multiple
-    of n so the shift m/n is a whole number of atoms.
+    of n so the shift m/n is a whole number of atoms (`check_plan_shape`). With
+    symmetrize, the guard on its n! * m atoms is checked before the plan is built.
     """
-    if n < 2 or m < n or m % n != 0:
-        raise DomainError(f"need n >= 2 marginals and m a positive multiple of n: got n = {n}, m = {m}")
+    check_plan_shape(n, m)
+    if symmetrize:
+        _check_symmetrized_size(n, m)
     cells, mass = staircase(m, n)
     on = mass > 0
     plan = DiscretePlan(quantize(rho, m).atoms[cells[on]], mass[on])

@@ -38,13 +38,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import TOL, TWO_PI
 from .costs import CostModel, torus_distance
-from .errors import ConstructionError, DomainError, RegimeError, require_finite
+from .errors import ConstructionError, DomainError, RegimeError, require_finite, require_size
 from .measure1d import GridDensity
-from .seidl import DiscretePlan, plan_cost, seidl_plan
+from .seidl import DiscretePlan, check_plan_shape, plan_cost, seidl_plan
 
 # points b_matrix places on the z-grid per product: 512 rows of 4096 nodes are 16.8 MB
 B_ROWS = 512
 PAIR_GRID = 1024   # nodes of the interaction quadrature's midpoint grid
+# window floats coords x (2 reach + 1) of one state: m <= 8176 at n = 2, where the
+# `semiclassical` command peaks at 163 MB RSS over two eps (61 MB at m = 2000)
+KERNEL_GUARD = 1 << 22
 
 
 def midpoints(k: int) -> np.ndarray:
@@ -130,6 +133,12 @@ def support_separation(plan: DiscretePlan) -> float:
 # -- the smeared state -----------------------------------------------------
 
 
+def _check_kernel_size(coords: int, reach: int) -> None:
+    """The kernel guard: coords * (2 reach + 1) <= KERNEL_GUARD window floats."""
+    require_size("coords * (2 reach + 1)", (f"{coords} * {2 * reach + 1}", coords * (2 * reach + 1)),
+                 KERNEL_GUARD)
+
+
 class GammaEta:
     """Mollified trial state for a separated plan, in the disjoint regime.
 
@@ -173,14 +182,15 @@ class GammaEta:
         self.zgrid = midpoints(TOL.quad_grid)
         self.dz = TWO_PI / TOL.quad_grid
         self.reach = int(np.ceil(self.eta / self.dz))
+        # unique coordinate values across all atoms, with (atom, slot) indices
+        coords, inverse = np.unique(plan.atoms, return_inverse=True)
+        _check_kernel_size(coords.size, self.reach)
         self.offsets = np.arange(-self.reach, self.reach + 1)
         # periodized squared bump against the density: (rho~ * chi_eta^2)(z)
         kernel = chi.chi_sq(self.offsets * self.dz / self.eta) / self.eta
         self.den = _correlate(rho.density(self.zgrid), -self.offsets, kernel, self.dz)
         if np.min(self.den) <= 0:
             raise ConstructionError("smeared density vanishes; eta too small for the grid")
-        # unique coordinate values across all atoms, with (atom, slot) indices
-        coords, inverse = np.unique(plan.atoms, return_inverse=True)
         self.coords = coords
         self.coord_index = inverse.reshape(plan.atoms.shape)
         # column kernels PB(c - z) / den(z) on each unique coordinate's window
@@ -516,9 +526,14 @@ def upper_bound_curve(
     probe at alpha / 8 serves every row capped there. The kinetic column is
     the closed form, which needs no state. w is priced untruncated: as eta <= alpha / 8,
     same-atom coordinates are weighted only at distance >= alpha / 2 (`midpoint_pair_matrix`).
+    The kernel guard is checked before the plan is built: every plan coordinate
+    is one of the m atoms, and eta <= alpha / 8 <= pi / (4 n) bounds the reach
+    by ceil(quad_grid / (8 n)).
     """
     chi = Mollifier.bump()
     eps_arr = _checked_eps(eps_list)
+    check_plan_shape(n, m)
+    _check_kernel_size(m, -(-TOL.quad_grid // (8 * n)))
     plan = seidl_plan(rho, n, m)
     reference = plan_cost(plan, w)
     alpha = support_separation(plan)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import TOL
 from .costs import CostModel, cells_cost
-from .errors import Checked, ConstructionError, DomainError, SizeGuardError, require_finite
+from .errors import Checked, ConstructionError, DomainError, require_finite, require_size
 
 
 class Bipartition(Checked, NamedTuple("_Bipartition", [("n", int), ("members", tuple)])):
@@ -238,18 +238,21 @@ class BipartitionRanking(NamedTuple):
     violator: tuple | None  # members of a strictly cheaper bipartition, if any
 
 
+# points of the exhaustive ranking: C(11, 5) = 462 bipartitions at 2n = 12
+BIPARTITION_POINT_GUARD = 12
+
+
 def bipartition_min_check(x, w: CostModel) -> BipartitionRanking:
     """Exhaustively rank all balanced bipartitions of the sorted points.
 
     For well-ordering costs the odd/even split must come out minimal, within
     TOL.well_order_slack; for other costs the violating split is reported.
-    Guarded at 2n <= 12: more points raise SizeGuardError naming 2n.
+    Guarded at 2n <= BIPARTITION_POINT_GUARD: more points raise SizeGuardError naming 2n.
     """
     x = _sorted_positions(x)
     if x.size % 2 != 0:
         raise DomainError("need an even number of points")
-    if x.size > 12:
-        raise SizeGuardError(f"2n = {x.size} points exceed the exhaustive enumeration's 2n <= 12 guard")
+    require_size("2n", x.size, BIPARTITION_POINT_GUARD)
     n = x.size // 2
     entries = []
     # one representative per complementary pair: fix index 1 inside A

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 import ringmot
+from ringmot import costs, seidl, semiclassical
 from ringmot.cli import main
 from ringmot.config import TWO_PI
 from ringmot.costs import WELL_ORDER_GRID_GUARD
 from ringmot.measure1d import GridDensity
-from ringmot.seidl import plan_from_csv
+from ringmot.mmot import LP_CELL_GUARD
+from ringmot.seidl import SYMMETRIZED_ATOM_GUARD, plan_from_csv
+from ringmot.semiclassical import KERNEL_GUARD
 
 
 # strictly well-ordering on its window [0, 1], and defined there only
@@ -238,6 +241,25 @@ class TestExitCodes:
         assert f"error: ring cost must not be NaN or -inf: {named}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", [
+        ["check-wellordering", "--grid", "16"],
+        ["seidl-plan", "--density", "{density}", "--n", "2", "--m", "4"],
+        ["mmot-solve", "--density", "{density}", "--n", "2", "--m", "4"],
+    ], ids=["check-wellordering", "seidl-plan", "mmot-solve"])
+    def test_infinite_sum_weight_refused_at_load(self, specs, tmp_path, capsys, cmd):
+        # unrefused, the sum is +inf on every pair: mmot-solve called it infeasible (exit 1,
+        # artifacts written) and the others failed to write inf as strict JSON
+        terms = [{"kind": "ring", "profile": {"kind": "inverse"}},
+                 {"kind": "ring", "profile": {"kind": "exp"}}]
+        cost = tmp_path / "sum.json"
+        cost.write_text(json.dumps({"kind": "sum", "weights": [1.0, math.inf], "terms": terms}))
+        out = tmp_path / "out"
+        argv = [arg.format(density=specs["density"]) for arg in cmd]
+        assert run([*argv, "--cost", str(cost), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: cone_combine weights must be finite and positive: "
+                                           "weight 1 is inf\n")
+        assert not out.exists()
+
     def test_strict_verdict_needs_strict(self, tmp_path, capsys):
         cost = tmp_path / "graph01.json"
         cost.write_text(json.dumps(GRAPH_01))
@@ -252,14 +274,59 @@ class TestExitCodes:
         assert json.loads((out / "report.json").read_text())["verdict"] == "strictly_well_ordering"
 
     @pytest.mark.parametrize("cmd, named", [
-        (["kantorovich", "--n", "2", "--grid", "2048"], "grid^2 = 2048^2 = 4194304 exceeds"),
-        (["seidl-plan", "--n", "10", "--m", "10", "--symmetrize"], "n! * m = 36288000 atoms"),
-    ], ids=["kantorovich", "seidl-plan-symmetrize"])
+        (["kantorovich", "--n", "2", "--grid", "2048"],
+         "grid^2 = 2048^2 = 4194304 exceeds the 1048576 guard"),
+        (["kantorovich", "--n", "100000", "--grid", "3"], "grid^99999 = 3^99999 exceeds the 1048576 guard"),
+        (["seidl-plan", "--n", "10", "--m", "10", "--symmetrize"],
+         "n! * m = 10! * 10 = 36288000 exceeds the 200000 guard"),
+        (["semiclassical", "--n", "0", "--eps", "0.1"],
+         "need n >= 2 marginals and m a positive multiple of n: got n = 0, m = 64"),
+    ], ids=["kantorovich", "kantorovich-huge-n", "seidl-plan-symmetrize", "semiclassical-n0"])
     def test_size_guard_writes_nothing(self, specs, tmp_path, capsys, cmd, named):
         out = tmp_path / "guarded"
         code = run([*cmd, "--density", specs["density"], "--cost", specs["cost"], "--out", str(out)])
         assert code == 2
-        assert named in capsys.readouterr().err
+        assert f"error: {named}" in capsys.readouterr().err
+        assert written(out) == []
+
+    @pytest.mark.parametrize("cmd, sizes, named, work", [
+        (["mmot-solve", "--n", "2", "--m", "448"], (447 ** 2, 448 ** 2, LP_CELL_GUARD),
+         "m^n = 448^2 = 200704 exceeds the 200000 guard", (seidl, "quantize")),
+        (["kantorovich", "--n", "2", "--grid", "64", "--m", "448"], (447 ** 2, 448 ** 2, LP_CELL_GUARD),
+         "m^n = 448^2 = 200704 exceeds the 200000 guard", (costs, "support_thresholds")),
+        (["seidl-plan", "--n", "3", "--m", "33336", "--symmetrize"],
+         (6 * 33333, 6 * 33336, SYMMETRIZED_ATOM_GUARD),
+         "n! * m = 3! * 33336 = 200016 exceeds the 200000 guard", (seidl, "staircase")),
+        (["semiclassical", "--n", "2", "--m", "8178", "--eps", "0.1"], (8176 * 513, 8178 * 513, KERNEL_GUARD),
+         "coords * (2 reach + 1) = 8178 * 513 = 4195314 exceeds the 4194304 guard",
+         (semiclassical, "seidl_plan")),
+    ], ids=["mmot-solve", "kantorovich-m", "seidl-plan-symmetrize", "semiclassical"])
+    def test_guard_trips_before_any_work(self, monkeypatch, specs, tmp_path, capsys, cmd, sizes, named, work):
+        # the first size past the limit trips (one step fewer is inside), before the
+        # guarded command's first step of work runs
+        inside, past, limit = sizes
+        assert inside <= limit < past
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{cmd[0]} started work before its size guard")
+
+        monkeypatch.setattr(*work, no_work)
+        out = tmp_path / "guarded"
+        code = run([*cmd, "--density", specs["density"], "--cost", specs["cost"], "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert written(out) == []
+
+    def test_out_of_memory_writes_nothing(self, monkeypatch, specs, tmp_path, capsys):
+        def refused(*args):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000, 2, 2)")
+
+        monkeypatch.setattr(seidl, "staircase", refused)
+        out = tmp_path / "oom"
+        code = run(["seidl-plan", "--density", specs["density"], "--n", "2", "--m", "4", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 7.45 GiB for an "
+                                           "array with shape (1000000000, 2, 2)\n")
         assert written(out) == []
 
     def test_wellordering_grid_guard(self, specs, tmp_path, capsys):

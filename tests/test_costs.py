@@ -8,6 +8,7 @@ import pytest
 
 from ringmot.config import TOL
 from ringmot.costs import (
+    TRANSLATION_CRITERION_GUARD,
     WELL_ORDER_GRID_GUARD,
     CostModel,
     ExpProfile,
@@ -136,6 +137,17 @@ class TestConeCombine:
     def test_empty_rejected(self):
         with pytest.raises(ConstructionError):
             cone_combine([], [])
+
+    @pytest.mark.parametrize("weight, named", [
+        (np.inf, "inf"), (np.nan, "nan"), (-np.inf, "-inf"), (0.0, "0.0"),
+    ], ids=["inf", "nan", "neg-inf", "zero"])
+    def test_weight_finite_and_positive(self, ring_inverse, torus_linear, weight, named):
+        with pytest.raises(ConstructionError, match=rf"finite and positive: weight 1 is {named}$"):
+            cone_combine([ring_inverse, torus_linear], [1.0, weight])
+
+    def test_one_weight_per_model(self, ring_inverse):
+        with pytest.raises(ConstructionError, match="one weight per model: got 2 weights for 1 models"):
+            cone_combine([ring_inverse], [1.0, 1.0])
 
 
 class TestWellOrdering:
@@ -319,6 +331,16 @@ class TestCertificateMutations:
 
 
 class TestTranslationInvariantCriterion:
+    def test_guard_trips_before_g(self):
+        # (G - 1)^3 cells per array: G = 162 is inside 2^22, G = 163 is not, and g never runs
+        assert 161 ** 3 <= TRANSLATION_CRITERION_GUARD < 162 ** 3
+
+        def g(t):
+            raise AssertionError("g evaluated before the size guard")
+
+        named = r"^\(grid_size - 1\)\^3 = 162\^3 = 4251528 exceeds the 4194304 guard$"
+        with pytest.raises(SizeGuardError, match=named):
+            check_translation_invariant_criterion(g, grid_size=163)
     def test_torus_metric_profile(self):
         # pi - |t|_T, the V-shaped profile of the decreasing torus cost
         report = check_translation_invariant_criterion(

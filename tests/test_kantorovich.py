@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from ringmot import costs
-from ringmot.config import TOL
 from ringmot.costs import (
     CostModel,
     ExpProfile,
@@ -19,6 +19,7 @@ from ringmot.costs import (
 )
 from ringmot.errors import DomainError, SizeGuardError
 from ringmot.kantorovich import (
+    CTRANSFORM_GUARD,
     TILE,
     Potential,
     _doubled_pair_matrix,
@@ -114,12 +115,20 @@ class TestCTransform:
         with pytest.raises(SizeGuardError, match=r"1025\^2 = 1050625 exceeds .* 1048576"):
             c_transform(zero_potential(1025), ring10, 3)
 
+    @pytest.mark.parametrize("n", [100_000, 10_000_000])
+    def test_guard_names_unbuilt_power(self, uniform, ring10, n):
+        # 3^(n-1) is past 2^20 by its exponent alone: named by its factors, never built
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError, match=rf"^grid\^{n - 1} = 3\^{n - 1} exceeds the 1048576 guard$"):
+            certify_potential(uniform, ring10, n, grid_size=3)
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("n, g", [(2, 1025), (3, 1025), (4, 102)])
     def test_guard_trips_first_size_past_budget(self, monkeypatch, uniform, ring10, n, g):
         # the guard bounds the g x g pair matrix as well as the g^(n-1) tuples; one
         # node fewer is inside it, and certify_potential checks it before any work
         power = max(2, n - 1)
-        assert (g - 1) ** power <= TOL.ctransform_guard < g ** power
+        assert (g - 1) ** power <= CTRANSFORM_GUARD < g ** power
         named = rf"grid\^{power} = {g}\^{power} = {g ** power} exceeds"
         with pytest.raises(SizeGuardError, match=named):
             c_transform(zero_potential(g), ring10, n)

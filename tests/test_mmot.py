@@ -136,7 +136,7 @@ class TestCertificates:
 
 class TestGuardsAndEdgeCases:
     def test_size_guard(self, uniform, ring_inverse):
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(SizeGuardError, match=r"^m\^n = 60\^3 = 216000 exceeds the 200000 guard$"):
             solve_mmot(quantize(uniform, 60), 3, ring_inverse)
 
     def test_infeasible_when_marginal_too_coarse(self, ring_inverse):

@@ -159,7 +159,8 @@ class TestPlanCost:
         # 10! * 10 atoms of 10 coordinates would be 2.9 GB; the guard trips first
         tracemalloc.start()
         try:
-            with pytest.raises(SizeGuardError, match=r"m = 10 atoms of n = 10 .* n! \* m = 36288000"):
+            named = r"^n! \* m = 10! \* 10 = 36288000 exceeds the 200000 guard$"
+            with pytest.raises(SizeGuardError, match=named):
                 seidl_plan(cosine, 10, 10, symmetrize=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

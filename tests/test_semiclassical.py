@@ -6,7 +6,7 @@ import pytest
 from ringmot import semiclassical
 from ringmot.config import TOL
 from ringmot.costs import CostModel, ExpProfile, make_graph_cost, support_thresholds, truncate
-from ringmot.errors import DomainError, RegimeError
+from ringmot.errors import DomainError, RegimeError, SizeGuardError
 from ringmot.measure1d import GridDensity
 from ringmot.seidl import DiscretePlan, plan_cost, seidl_plan
 from ringmot.semiclassical import (
@@ -71,6 +71,30 @@ class TestRegime:
         plan = seidl_plan(uniform, 2, 4)
         with pytest.raises(RegimeError):
             GammaEta(plan, uniform, chi, np.pi / 4)
+
+    def test_kernel_guard_on_coordinates(self, monkeypatch, uniform, chi):
+        # GammaEta checks its own 64 coordinates x (2 reach + 1) window floats
+        plan = seidl_plan(uniform, 2, 64)
+        reach = GammaEta(plan, uniform, chi, 0.1).reach
+        monkeypatch.setattr(semiclassical, "KERNEL_GUARD", 64 * (2 * reach + 1) - 1)
+        named = rf"^coords \* \(2 reach \+ 1\) = 64 \* {2 * reach + 1} = {64 * (2 * reach + 1)} exceeds"
+        with pytest.raises(SizeGuardError, match=named):
+            GammaEta(plan, uniform, chi, 0.1)
+
+    @pytest.mark.parametrize("n, m", [(2, 8176), (3, 12228)])
+    def test_kernel_guard_before_the_plan(self, monkeypatch, uniform, ring_inverse, n, m):
+        # the largest m inside the guard passes it; the next multiple of n trips before seidl_plan
+        reach = -(-TOL.quad_grid // (8 * n))
+        assert m * (2 * reach + 1) <= semiclassical.KERNEL_GUARD < (m + n) * (2 * reach + 1)
+
+        def planned(*args):
+            raise AssertionError("the plan was built")
+
+        monkeypatch.setattr(semiclassical, "seidl_plan", planned)
+        with pytest.raises(AssertionError, match="the plan was built"):
+            upper_bound_curve(uniform, ring_inverse, n, [0.1], m=m)
+        with pytest.raises(SizeGuardError, match=rf"= {m + n} \* {2 * reach + 1} = "):
+            upper_bound_curve(uniform, ring_inverse, n, [0.1], m=m + n)
 
     def test_positive_density_required(self, cosine, chi):
         plan = seidl_plan(cosine, 2, 4)

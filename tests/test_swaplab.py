@@ -217,7 +217,7 @@ class TestBipartitionMinCheck:
         assert res.violator is not None
 
     def test_guard(self, ring_inverse):
-        with pytest.raises(SizeGuardError, match="2n = 14 points exceed"):
+        with pytest.raises(SizeGuardError, match=r"^2n = 14 exceeds the 12 guard$"):
             bipartition_min_check(np.sort(np.random.default_rng(0).uniform(0, 6, 14)), ring_inverse)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
